@@ -12,7 +12,7 @@
 // Writers publish a new EpochSnapshot at batch boundaries (the natural Hazy
 // granularity — model and water state are per-epoch immutable). Readers pin
 // the latest published epoch, scan it through the core/scan_pipeline SIMD
-// strips, and unpin on completion; they never take the statement gate.
+// strips, and unpin on completion; they never take the statement mutex.
 // Retired epochs are reclaimed once their pin count drains.
 //
 // Entity payloads are shared across epochs through sealed chunks: an

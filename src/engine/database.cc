@@ -77,23 +77,23 @@ Status ManagedView::PublishEpoch() {
 
 StatusOr<std::string> ManagedView::LabelOf(int64_t id) {
   // View reads fold the pending trigger queue and may reorganize — they
-  // mutate view state, so they count as statements against the background
-  // checkpointer's commit section.
-  storage::StatementGate::SharedGuard gate(db_ != nullptr ? db_->statement_gate() : nullptr);
+  // mutate view state, so they are writers under the statement mutex.
+  // (Both places that build a ManagedView set db_.)
+  std::lock_guard<std::recursive_mutex> lock(*db_->statement_mutex());
   HAZY_RETURN_NOT_OK(Flush());
   HAZY_ASSIGN_OR_RETURN(int sign, view_->SingleEntityRead(id));
   return LabelString(sign);
 }
 
 StatusOr<std::vector<int64_t>> ManagedView::MembersOf(const std::string& label) {
-  storage::StatementGate::SharedGuard gate(db_ != nullptr ? db_->statement_gate() : nullptr);
+  std::lock_guard<std::recursive_mutex> lock(*db_->statement_mutex());
   HAZY_RETURN_NOT_OK(Flush());
   HAZY_ASSIGN_OR_RETURN(int sign, LabelSign(label));
   return view_->AllMembers(sign);
 }
 
 StatusOr<uint64_t> ManagedView::CountOf(const std::string& label) {
-  storage::StatementGate::SharedGuard gate(db_ != nullptr ? db_->statement_gate() : nullptr);
+  std::lock_guard<std::recursive_mutex> lock(*db_->statement_mutex());
   HAZY_RETURN_NOT_OK(Flush());
   HAZY_ASSIGN_OR_RETURN(int sign, LabelSign(label));
   return view_->AllMembersCount(sign);
@@ -206,7 +206,9 @@ Status Database::OpenImpl() {
   pool_->SetWal(wal_.get());
   catalog_ = std::make_unique<storage::Catalog>(pool_.get());
   catalog_->SetWal(wal_.get());
-  catalog_->SetGate(&gate_);
+  // Every committed row mutation is a statement boundary for the
+  // checkpoint hand-off, so direct API writers honor it too.
+  catalog_->SetStatementMutex(&statement_mu_, [this] { CheckpointIfRequested(); });
   persist::ViewCheckpointer ckpt(this);
   if (pager_->num_pages() == 0) {
     HAZY_RETURN_NOT_OK(ckpt.InitFresh());
@@ -322,25 +324,31 @@ Status Database::SetBackgroundWriterEnabled(bool enabled) {
 StatusOr<uint64_t> Database::Checkpoint() {
   if (!pager_) return Status::InvalidArgument("database not open");
   obs::TraceScope ckpt_span(obs::SpanKind::kCheckpoint);
-  // Snapshot-then-serialize, phase 1 (off-gate): write the bulk of the
-  // dirty page set out while statements keep running, so the exclusive
+  // Snapshot-then-serialize, phase 1: write the bulk of the dirty page set
+  // out (off the statement mutex when the caller does not hold it), so the
   // commit section below only has to flush the residue dirtied since. The
-  // serialization itself must stay under the gate — before-image WAL
+  // serialization itself must stay under the mutex — before-image WAL
   // rollback could not distinguish a checkpoint's own system-table writes
   // from a statement's.
   HAZY_RETURN_NOT_OK(pool_->FlushUnpinned());
-  // The commit section excludes foreground statements (the background
+  // The commit section excludes every other writer (the background
   // checkpointer's "short pause"); its own system-table writes re-enter the
-  // gate as the exclusive owner.
+  // recursive mutex.
   const int64_t commit_t0 = NowNanos();
-  storage::StatementGate::ExclusiveGuard gate(&gate_);
+  std::lock_guard<std::recursive_mutex> lock(statement_mu_);
   if (in_update_batch()) {
     return Status::InvalidArgument("cannot checkpoint inside an update batch");
   }
+  // This checkpoint satisfies any hand-off the daemon posted. Its own
+  // system-table writes pass statement boundaries; checkpoint_running_
+  // keeps a hand-off posted meanwhile from nesting a second checkpoint.
+  checkpoint_requested_.store(false, std::memory_order_relaxed);
   obs::TraceScope commit_span(obs::SpanKind::kCheckpointCommit);
+  checkpoint_running_ = true;
   StatusOr<uint64_t> epoch = persist::ViewCheckpointer(this).Checkpoint();
+  checkpoint_running_ = false;
   // Always-on pause accounting (the daemon thread carries no trace): how
-  // long foreground statements were excluded, gate wait included.
+  // long foreground statements were excluded, lock wait included.
   static obs::Histogram* commit_hist =
       obs::Registry::Global().GetHistogram("hazy_checkpoint_commit_us");
   commit_hist->Observe(static_cast<double>(NowNanos() - commit_t0) / 1000.0);
@@ -393,7 +401,7 @@ StatusOr<std::unique_ptr<core::ClassificationView>> Database::BuildCoreView(
 
 StatusOr<ManagedView*> Database::CreateClassificationView(
     const ClassificationViewDef& def) {
-  storage::StatementGate::SharedGuard gate(&gate_);
+  std::lock_guard<std::recursive_mutex> lock(statement_mu_);
   // The checkpoint system tables must never host a classification view —
   // its triggers would fire inside Checkpoint's own row writes.
   for (const std::string& name : {def.view_name, def.entity_table, def.label_table,
@@ -541,57 +549,55 @@ Status Database::ArmTriggers(ManagedView* raw) {
 }
 
 void Database::BeginUpdateBatch() {
-  storage::StatementGate::SharedGuard gate(&gate_);
+  std::lock_guard<std::recursive_mutex> lock(statement_mu_);
   if (batch_depth_++ == 0 && wal_) wal_->BeginGroup();
 }
 
 Status Database::EndUpdateBatch() {
-  bool outermost = false;
+  std::lock_guard<std::recursive_mutex> lock(statement_mu_);
+  if (batch_depth_ == 0) {
+    return Status::InvalidArgument("EndUpdateBatch without BeginUpdateBatch");
+  }
+  if (--batch_depth_ > 0) return Status::OK();
+  // batch_depth_ is back to 0, so the publishes below are real. Flush
+  // publishes when it drains pending examples; an entity-only batch
+  // leaves nothing pending (Flush early-returns), so the epoch its
+  // triggers deferred is published explicitly — exactly one epoch per
+  // outermost batch either way.
   Status first_error;
-  {
-    storage::StatementGate::SharedGuard gate(&gate_);
-    if (batch_depth_ == 0) {
-      return Status::InvalidArgument("EndUpdateBatch without BeginUpdateBatch");
-    }
-    if (--batch_depth_ > 0) return Status::OK();
-    outermost = true;
-    // batch_depth_ is back to 0, so the publishes below are real. Flush
-    // publishes when it drains pending examples; an entity-only batch
-    // leaves nothing pending (Flush early-returns), so the epoch its
-    // triggers deferred is published explicitly — exactly one epoch per
-    // outermost batch either way.
-    for (ManagedView* v : ViewListSnapshot()) {
-      Status s = v->Flush();
-      if (s.ok() && v->epoch_publish_pending_) s = v->PublishEpoch();
-      if (!s.ok() && first_error.ok()) first_error = s;
-    }
-    if (wal_) {
-      // One commit marker covers the whole batch; replay re-brackets it in
-      // BeginUpdateBatch/EndUpdateBatch so the amortized fold is reproduced.
-      Status s = wal_->EndGroup();
-      if (!s.ok() && first_error.ok()) first_error = s;
-    }
+  for (ManagedView* v : ViewListSnapshot()) {
+    Status s = v->Flush();
+    if (s.ok() && v->epoch_publish_pending_) s = v->PublishEpoch();
+    if (!s.ok() && first_error.ok()) first_error = s;
   }
-  // A checkpoint the daemon had to refuse mid-batch runs now, at the batch
-  // boundary (outside the shared gate hold — Checkpoint takes it
-  // exclusive). The boundary also consults the daemon's byte threshold
-  // directly, so the WAL bound holds deterministically for batched ingest
-  // even when a batch outpaces the daemon's poll. A failure does not fail
-  // the batch: its own work committed above, and the daemon retries.
-  bool checkpoint_now =
-      outermost && checkpoint_requested_.exchange(false, std::memory_order_relaxed);
-  if (outermost && !checkpoint_now && ckpt_daemon_ != nullptr && wal_) {
+  if (wal_) {
+    // One commit marker covers the whole batch; replay re-brackets it in
+    // BeginUpdateBatch/EndUpdateBatch so the amortized fold is reproduced.
+    Status s = wal_->EndGroup();
+    if (!s.ok() && first_error.ok()) first_error = s;
+  }
+  // The boundary consults the daemon's byte threshold directly, so the WAL
+  // bound holds deterministically for batched ingest even when a batch
+  // outpaces the daemon's poll.
+  if (ckpt_daemon_ != nullptr && wal_) {
     const uint64_t threshold = ckpt_daemon_->options().wal_checkpoint_bytes;
-    checkpoint_now = threshold > 0 && wal_->tail_bytes() >= threshold;
+    if (threshold > 0 && wal_->tail_bytes() >= threshold) RequestCheckpoint();
   }
-  if (checkpoint_now) {
-    Status s = Checkpoint().status();
-    if (!s.ok()) {
-      HAZY_LOG(Warning) << "deferred batch-boundary checkpoint failed: "
-                        << s.ToString();
-    }
-  }
+  CheckpointIfRequested();
   return first_error;
+}
+
+void Database::CheckpointIfRequested() {
+  if (!checkpoint_requested_.load(std::memory_order_relaxed) || in_update_batch() ||
+      checkpoint_running_ || !is_open()) {
+    return;
+  }
+  Status s = Checkpoint().status();
+  if (ckpt_daemon_ != nullptr) {
+    ckpt_daemon_->RecordCheckpoint(s);
+  } else if (!s.ok()) {
+    HAZY_LOG(Warning) << "requested checkpoint failed: " << s.ToString();
+  }
 }
 
 Status Database::OnEntityInsert(ManagedView* mv, const Row& row) {
@@ -956,10 +962,12 @@ Status Database::Compact() {
   if (in_update_batch()) {
     return Status::InvalidArgument("cannot VACUUM inside an update batch");
   }
-  // The checkpoint daemon must not run during the compaction copy: its
-  // checkpoints mutate view state (Flush) while CopyCompactInto serializes
-  // the same objects without the gate. It restarts with the reopened file
-  // (options_.checkpointer is unchanged).
+  // The checkpoint daemon must not run during the compaction: its copy
+  // phase flushes the buffer pool off the statement mutex, and the swap
+  // below destroys that pool. It restarts with the reopened file
+  // (options_.checkpointer is unchanged). Stop() joins the thread while
+  // this mutex is held, which is safe only because the daemon never blocks
+  // on it (try_lock; see persist/checkpoint_daemon.h).
   if (ckpt_daemon_) {
     ckpt_daemon_->Stop();
     ckpt_daemon_.reset();

@@ -23,7 +23,6 @@
 #include "persist/checkpoint_daemon.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
-#include "storage/statement_gate.h"
 #include "storage/table.h"
 #include "storage/wal.h"
 
@@ -238,20 +237,23 @@ class Database {
   /// The background checkpointer, when one is running (nullptr otherwise).
   persist::CheckpointDaemon* checkpoint_daemon() { return ckpt_daemon_.get(); }
 
-  /// The statement gate (shared by tables and views; exclusive for the
-  /// checkpoint commit section).
-  storage::StatementGate* statement_gate() { return &gate_; }
-
-  /// Serializes whole SQL statements from concurrent sessions. The engine is
-  /// single-writer (triggers mutate shared view state), so the server layer
-  /// holds this for the duration of each statement; in-process callers that
-  /// never share a Database across threads can ignore it. Recursive because
-  /// Compact() acquires it internally (so direct API callers get the same
-  /// exclusion SQL VACUUM does) while the SQL path already holds it.
-  /// Stays a std::recursive_mutex: clang thread-safety analysis cannot
-  /// model reentrant acquisition without reentrant_capability (too new to
-  /// require), so this one mutex is intentionally outside the annotated
-  /// hazy::Mutex surface.
+  /// The one writer lock. The engine is single-writer (triggers mutate
+  /// shared view state), and this mutex is how that is enforced:
+  ///   - sql::Executor holds it for every statement that is not a snapshot
+  ///     read (sql::IsSnapshotRead);
+  ///   - every mutating engine entry point takes it itself — Table
+  ///     Insert/DeleteByKey/UpdateByKey, Catalog::CreateTable,
+  ///     CreateClassificationView, Begin/EndUpdateBatch, the ManagedView
+  ///     reads (they fold queued triggers), Checkpoint's commit section and
+  ///     Compact — so direct API callers are serialized without locking
+  ///     anything themselves;
+  ///   - the checkpoint daemon only ever try_locks it (see
+  ///     persist/checkpoint_daemon.h).
+  /// Recursive because those entry points nest (a statement's rows fire
+  /// triggers; a checkpoint writes system-table rows; VACUUM checkpoints).
+  /// Clang thread-safety analysis cannot model reentrant acquisition
+  /// without reentrant_capability (too new to require), so this one mutex
+  /// stays outside the annotated hazy::Mutex surface.
   std::recursive_mutex* statement_mutex() { return &statement_mu_; }
 
   /// Starts/stops the background checkpointer at runtime (PRAGMA
@@ -304,16 +306,27 @@ class Database {
   void BeginUpdateBatch();
 
   /// Leaves batched-trigger mode, flushing every view's queue when the
-  /// outermost batch ends. If the background checkpointer tripped its
-  /// threshold mid-batch (checkpoints are refused inside a batch), the
-  /// deferred checkpoint runs here, at the batch boundary.
+  /// outermost batch ends. A checkpoint the background checkpointer could
+  /// not take mid-batch runs here, at the batch boundary; so does one the
+  /// WAL byte threshold calls for.
   Status EndUpdateBatch();
 
-  /// Background-checkpointer hand-off: asks the next outermost
-  /// EndUpdateBatch to checkpoint on its way out.
-  void RequestCheckpointAtBatchEnd() {
+  /// Background-checkpointer hand-off: asks whoever holds the statement
+  /// mutex next to checkpoint at its next statement boundary (see
+  /// CheckpointIfRequested). The daemon posts it, then try_locks to take
+  /// the checkpoint itself.
+  void RequestCheckpoint() {
     checkpoint_requested_.store(true, std::memory_order_relaxed);
   }
+
+  /// Runs a requested checkpoint, unless an update batch is still open
+  /// (the outermost EndUpdateBatch runs it then). Called with the statement
+  /// mutex held at every statement boundary: the end of each serialized
+  /// SQL statement, each committed table row mutation, and each outermost
+  /// batch. The outcome goes to the daemon (CheckpointDaemon::
+  /// RecordCheckpoint), not to the caller: the caller's own work has
+  /// committed, and the daemon asks again after a failure.
+  void CheckpointIfRequested();
 
   bool in_update_batch() const {
     return batch_depth_.load(std::memory_order_relaxed) > 0;
@@ -402,25 +415,24 @@ class Database {
   std::string path_;
   /// See statement_mutex().
   std::recursive_mutex statement_mu_;
-  /// Statement boundary between foreground mutations (shared holds) and the
-  /// background checkpointer's commit section (exclusive hold).
-  storage::StatementGate gate_;
   bool owns_temp_file_ = false;
   /// True when this Open created the -wal sidecar file (so a failed open
   /// can remove it instead of leaving a stray next to a foreign file).
   bool created_wal_file_ = false;
-  /// Mutated under the gate (shared) by Begin/EndUpdateBatch; atomic so the
-  /// checkpoint daemon can peek without taking the gate.
+  /// Mutated under the statement mutex by Begin/EndUpdateBatch; atomic so
+  /// the checkpoint daemon can peek without taking it.
   std::atomic<int> batch_depth_{0};
   std::atomic<bool> checkpoint_requested_{false};
+  /// True inside Checkpoint's commit section (statement mutex held).
+  bool checkpoint_running_ = false;
   std::atomic<int64_t> slow_statement_ms_{-1};
   /// Registry collector handles for the storage-layer stats (WAL, pool,
   /// pager) registered by Open and released by ResetHandles. View
   /// collectors live in view_collectors_ keyed alongside views_.
   std::vector<uint64_t> stats_collectors_;
   std::vector<uint64_t> view_collectors_;
-  /// Advanced under the exclusive gate by checkpoints; atomic so observers
-  /// (tests, shell banners) can read it without one.
+  /// Advanced under the statement mutex by checkpoints; atomic so observers
+  /// (tests, shell banners) can read it without the mutex.
   std::atomic<uint64_t> checkpoint_epoch_{0};
   /// See is_open(): flipped true after a successful Open/OpenImpl, false at
   /// the top of ResetHandles — always before the handles below are touched.

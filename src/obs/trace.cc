@@ -74,21 +74,21 @@ void TraceContext::Clear() {
   }
 }
 
-int TraceContext::OpenSpan(SpanKind kind) {
+int TraceContext::OpenSpanAt(SpanKind kind, uint64_t start_ns) {
   SpanNode node;
   node.kind = kind;
   node.parent = open_stack_.empty() ? -1 : open_stack_.back();
-  node.start_ns = static_cast<uint64_t>(NowNanos());
+  node.start_ns = start_ns;
   int index = static_cast<int>(spans_.size());
   spans_.push_back(node);
   open_stack_.push_back(index);
   return index;
 }
 
-void TraceContext::CloseSpan(int index) {
+void TraceContext::CloseSpanAt(int index, uint64_t end_ns) {
   HAZY_DCHECK(!open_stack_.empty() && open_stack_.back() == index);
   SpanNode& node = spans_[index];
-  node.duration_ns = static_cast<uint64_t>(NowNanos()) - node.start_ns;
+  node.duration_ns = end_ns - node.start_ns;
   open_stack_.pop_back();
   SpanHistogram(node.kind)->Observe(static_cast<double>(node.duration_ns) /
                                     1000.0);

@@ -36,7 +36,7 @@ namespace hazy::obs {
 enum class SpanKind : uint8_t {
   kStatement = 0,   // whole statement, root
   kParse,           // SQL text -> AST
-  kGateWait,        // waiting on the statement gate (shared or exclusive)
+  kGateWait,        // waiting on the statement mutex (serialized statements)
   kExecute,         // statement body after parse
   kTriggerDrain,    // draining queued view maintenance triggers
   kLazyScan,        // lazy on-demand (re)scoring scan
@@ -47,7 +47,7 @@ enum class SpanKind : uint8_t {
   kPoolMiss,        // buffer-pool miss: page read from pager
   kPoolEvict,       // buffer-pool eviction write-back on the foreground path
   kCheckpoint,      // whole checkpoint
-  kCheckpointCommit,  // checkpoint exclusive commit section (gate held)
+  kCheckpointCommit,  // checkpoint commit section (statement mutex held)
   kNumKinds
 };
 
@@ -78,11 +78,19 @@ class TraceContext {
   bool empty() const { return spans_.empty(); }
 
   /// Opens a span as a child of the innermost open span; returns its index.
-  int OpenSpan(SpanKind kind);
+  int OpenSpan(SpanKind kind) {
+    return OpenSpanAt(kind, static_cast<uint64_t>(NowNanos()));
+  }
+  /// OpenSpan back-dated to `start_ns` (work timed before the trace was
+  /// installed, e.g. the parse that decides whether a statement is traced).
+  int OpenSpanAt(SpanKind kind, uint64_t start_ns);
 
   /// Closes the span (must be the innermost open one) and feeds the
   /// registry histogram for its kind.
-  void CloseSpan(int index);
+  void CloseSpan(int index) {
+    CloseSpanAt(index, static_cast<uint64_t>(NowNanos()));
+  }
+  void CloseSpanAt(int index, uint64_t end_ns);
 
   /// Thread-safe: folds one timed event into the per-kind aggregate.
   void AddEvent(SpanKind kind, uint64_t duration_ns);

@@ -1,6 +1,7 @@
 #include "persist/checkpoint_daemon.h"
 
 #include <chrono>
+#include <mutex>
 
 #include "common/logging.h"
 #include "common/timer.h"
@@ -95,47 +96,46 @@ void CheckpointDaemon::ThreadMain() {
     if (!ShouldCheckpointLocked(since_last.ElapsedSeconds())) continue;
     lock.Unlock();
 
-    // Checkpoints are refused inside an update batch; post the batch-
-    // boundary hand-off FIRST (so a long batch checkpoints the moment it
-    // ends, not a poll later), then still run the pre-flush below — it is
-    // useful concurrent work either way.
-    const bool mid_batch = db_->in_update_batch();
-    if (mid_batch) db_->RequestCheckpointAtBatchEnd();
-
     // Copy phase: flush the dirty pool (pending write-back queue included)
-    // concurrently with foreground statements. Safe without the gate —
-    // pinned frames (bytes possibly mid-mutation) are skipped, page-level
-    // write-back of the rest is idempotent and WAL-protected, and a frame
-    // re-dirtied mid-flush keeps its dirty bit. This drains the bulk of
-    // the checkpoint's I/O before anything pauses.
+    // concurrently with foreground statements. Safe without the statement
+    // mutex — pinned frames (bytes possibly mid-mutation) are skipped,
+    // page-level write-back of the rest is idempotent and WAL-protected,
+    // and a frame re-dirtied mid-flush keeps its dirty bit. This drains the
+    // bulk of the checkpoint's I/O before anything pauses.
     Status s = db_->buffer_pool()->FlushUnpinned();
 
-    // Commit section: the ordinary exact checkpoint, under the exclusive
-    // statement gate (taken inside Database::Checkpoint). Foreground
-    // statements pause only for this part.
-    if (s.ok() && !mid_batch) s = db_->Checkpoint().status();
+    // Commit section: the ordinary exact checkpoint under the statement
+    // mutex, which is only ever try_locked here. The threads that Stop()
+    // this daemon (PRAGMA checkpoint_daemon = off, VACUUM, close) join it
+    // while holding the mutex, so a blocking lock() could deadlock. The
+    // request is posted first: when a statement holds the mutex, it runs
+    // the checkpoint at its end, a delay of at most that one statement (an
+    // open update batch runs it at its outermost end). Either way
+    // Database::CheckpointIfRequested reports back via RecordCheckpoint.
+    if (s.ok()) {
+      db_->RequestCheckpoint();
+      std::unique_lock<std::recursive_mutex> stmt_lock(*db_->statement_mutex(),
+                                                       std::try_to_lock);
+      if (stmt_lock.owns_lock()) db_->CheckpointIfRequested();
+    }
 
     lock.Lock();
-    if (mid_batch) {
-      // Handed off; the boundary runs it. Keep polling in case the batch
-      // outlives several trips. A failing pre-flush must still be visible.
-      if (!s.ok()) {
-        last_error_ = s;
-        HAZY_LOG(Warning) << "background pre-flush failed: " << s.ToString();
-      }
-    } else if (s.ok()) {
-      checkpoints_.fetch_add(1, std::memory_order_relaxed);
-      last_error_ = Status::OK();
-      since_last.Reset();
-    } else if (s.IsInvalidArgument() && db_->in_update_batch()) {
-      // Raced into a batch between the peek and the gate: hand off. Any
-      // other InvalidArgument is a real failure and must stay visible.
-      db_->RequestCheckpointAtBatchEnd();
-    } else {
+    if (!s.ok()) {
       last_error_ = s;
-      HAZY_LOG(Warning) << "background checkpoint failed: " << s.ToString();
+      HAZY_LOG(Warning) << "background pre-flush failed: " << s.ToString();
     }
   }
+}
+
+void CheckpointDaemon::RecordCheckpoint(const Status& s) {
+  MutexLock lock(mu_);
+  if (s.ok()) {
+    checkpoints_.fetch_add(1, std::memory_order_relaxed);
+    last_error_ = Status::OK();
+    return;
+  }
+  last_error_ = s;
+  HAZY_LOG(Warning) << "background checkpoint failed: " << s.ToString();
 }
 
 }  // namespace hazy::persist

@@ -7,23 +7,32 @@
 //
 //   copy phase     concurrent with foreground ingest: the pool's dirty pages
 //                  and the pending write-back queue are flushed WITHOUT the
-//                  statement gate (page-level write-back is always safe —
+//                  statement mutex (page-level write-back is always safe —
 //                  frames re-dirtied mid-flush keep their dirty bit via the
 //                  per-frame generation counter, and a torn on-disk mix is
 //                  WAL-protected). This drains the bulk of the checkpoint's
 //                  I/O while statements keep running.
 //
-//   commit section the normal Database::Checkpoint under the exclusive
-//                  statement gate: view-state serialization, system-table
-//                  rows, the (now small) residual flush, header flip, WAL
-//                  rebase. Foreground statements pause only for this part.
+//   commit section the normal Database::Checkpoint under the statement
+//                  mutex (Database::statement_mutex): view-state
+//                  serialization, system-table rows, the (now small)
+//                  residual flush, header flip, WAL rebase. Foreground
+//                  statements pause only for this part.
+//
+// The daemon never blocks on the statement mutex: whoever stops it (PRAGMA
+// checkpoint_daemon = off, VACUUM, close) holds that mutex while joining the
+// thread. After the copy phase it posts Database::RequestCheckpoint and
+// try_locks; on success it runs the commit section itself. Otherwise the
+// lock holder runs it at its next statement boundary — the end of a SQL
+// statement, a committed row mutation, or the outermost update batch
+// (Database::CheckpointIfRequested). A saturating statement stream thus
+// delays a checkpoint by at most one statement.
 //
 // Exactness is inherited, not re-proven: the commit section IS the existing
 // crash-safe checkpoint, taken at a statement boundary — so the crash-
 // injection suite's bit-identical recovery guarantee holds with the daemon
-// racing kills. A checkpoint that fails (mid-batch, injected fault, crash)
-// is retried at the next trip; one that lands inside an update batch is
-// refused by Database::Checkpoint and retried later.
+// racing kills. A checkpoint that fails (injected fault, crash) is retried
+// at the next trip.
 //
 // Knobs (DatabaseOptions::checkpointer, PRAGMA wal_checkpoint_bytes /
 // wal_checkpoint_seconds): a byte threshold on the log tail, an optional
@@ -83,6 +92,11 @@ class CheckpointDaemon {
   /// Wakes the daemon to evaluate its triggers now.
   void Poke();
 
+  /// Outcome of a checkpoint this daemon asked for, whichever thread ran it
+  /// (Database::CheckpointIfRequested).
+  void RecordCheckpoint(const Status& s) EXCLUDES(mu_);
+
+  /// Checkpoints taken at this daemon's request.
   uint64_t checkpoints_taken() const {
     return checkpoints_.load(std::memory_order_relaxed);
   }

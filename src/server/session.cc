@@ -15,7 +15,7 @@ constexpr size_t kMaxPreparedPerSession = 1024;
 }  // namespace
 
 Session::Session(uint64_t id, engine::Database* db)
-    : id_(id), db_(db), executor_(db) {}
+    : id_(id), executor_(db) {}
 
 std::string Session::BusyFrame(uint32_t request_id) {
   std::string payload;
@@ -64,30 +64,6 @@ size_t Session::num_prepared() const {
   return prepared_.size();
 }
 
-StatusOr<sql::ResultSet> Session::RunQuery(const std::string& sql) {
-  // Snapshot reads (SELECT over a view with a published epoch) answer from
-  // immutable state and skip the whole-statement mutex entirely — they never
-  // queue behind an ingest statement. Everything else serializes as before.
-  auto stmt = sql::Parse(sql);
-  if (stmt.ok() && sql::IsSnapshotRead(db_, *stmt)) {
-    return executor_.Execute(*stmt);
-  }
-  std::lock_guard<std::recursive_mutex> stmt_lock(*db_->statement_mutex());
-  // Re-run from text so the executor traces the statement (parse span,
-  // latency histogram, slow log) exactly as before.
-  return executor_.Execute(sql);
-}
-
-StatusOr<sql::ResultSet> Session::RunPrepared(
-    const sql::PreparedStatement& stmt,
-    const std::vector<storage::Value>& params) {
-  if (sql::IsSnapshotRead(db_, stmt.stmt)) {
-    return executor_.Execute(stmt, params);
-  }
-  std::lock_guard<std::recursive_mutex> stmt_lock(*db_->statement_mutex());
-  return executor_.Execute(stmt, params);
-}
-
 std::string Session::HandleFrame(const rpc::FrameView& frame, bool* close_after) {
   *close_after = false;
   MutexLock lock(mu_);
@@ -116,7 +92,7 @@ std::string Session::HandleLocked(const rpc::FrameView& frame, bool* close_after
     }
 
     case rpc::Opcode::kQuery: {
-      auto rs = RunQuery(std::string(frame.payload));
+      auto rs = executor_.Execute(std::string(frame.payload));
       if (!rs.ok()) return ErrorFrame(frame.request_id, rs.status());
       return ResultFrame(frame.request_id, *rs);
     }
@@ -151,7 +127,7 @@ std::string Session::HandleLocked(const rpc::FrameView& frame, bool* close_after
                           Status::NotFound(StrFormat(
                               "no prepared statement with id %u", stmt_id)));
       }
-      auto rs = RunPrepared(it->second, params);
+      auto rs = executor_.Execute(it->second, params);
       if (!rs.ok()) return ErrorFrame(frame.request_id, rs.status());
       return ResultFrame(frame.request_id, *rs);
     }

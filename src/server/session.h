@@ -54,14 +54,10 @@ class Session {
   static std::string EmptyFrame(rpc::Opcode op, uint32_t request_id);
   std::string ResultFrame(uint32_t request_id, const sql::ResultSet& rs);
 
-  /// Runs one statement under the database-wide statement mutex (the engine
-  /// is single-writer; see Database::statement_mutex()).
-  StatusOr<sql::ResultSet> RunQuery(const std::string& sql);
-  StatusOr<sql::ResultSet> RunPrepared(const sql::PreparedStatement& stmt,
-                                       const std::vector<storage::Value>& params);
-
   const uint64_t id_;
-  engine::Database* db_;
+  /// Runs every QUERY and EXEC_PREPARED frame. It serializes statements
+  /// itself (snapshot reads run lock-free), so the session takes no
+  /// statement lock.
   sql::Executor executor_;
 
   mutable Mutex mu_;

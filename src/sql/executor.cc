@@ -38,34 +38,23 @@ StatusOr<bool> MatchesPredicate(const storage::Schema& schema, const Row& row,
 }
 
 StatusOr<ResultSet> Executor::Execute(const std::string& sql) {
-  if (obs::CurrentTrace() != nullptr) {
-    // Already under a trace (EXPLAIN TRACE's inner statement, or a caller
-    // that installed its own context): contribute spans, don't re-root.
-    StatusOr<Statement> stmt = Status::InvalidArgument("not parsed");
-    {
-      obs::TraceScope parse_span(obs::SpanKind::kParse);
-      stmt = Parse(sql);
-    }
-    HAZY_RETURN_NOT_OK(stmt.status());
-    obs::TraceScope exec_span(obs::SpanKind::kExecute);
-    return Execute(*stmt);
+  const auto parse_start = static_cast<uint64_t>(NowNanos());
+  StatusOr<Statement> stmt = Parse(sql);
+  const auto parse_end = static_cast<uint64_t>(NowNanos());
+  if (stmt.ok() && IsSnapshotRead(db_, *stmt)) {
+    return ExecSelect(std::get<SelectStmt>(*stmt));
   }
 
+  // The serialized path is traced. Whether a statement is serialized is
+  // known only once it is parsed, so the root and parse spans are
+  // back-dated to the parse.
   trace_.Clear();
   obs::ScopedTraceInstall install(&trace_);
-  const int root = trace_.OpenSpan(obs::SpanKind::kStatement);
-  StatusOr<Statement> stmt = Status::InvalidArgument("not parsed");
-  {
-    obs::TraceScope parse_span(obs::SpanKind::kParse);
-    stmt = Parse(sql);
-  }
-  StatusOr<ResultSet> result = Status::InvalidArgument("not executed");
-  if (stmt.ok()) {
-    obs::TraceScope exec_span(obs::SpanKind::kExecute);
-    result = Execute(*stmt);
-  } else {
-    result = stmt.status();
-  }
+  const int root = trace_.OpenSpanAt(obs::SpanKind::kStatement, parse_start);
+  trace_.CloseSpanAt(trace_.OpenSpanAt(obs::SpanKind::kParse, parse_start),
+                     parse_end);
+  StatusOr<ResultSet> result =
+      stmt.ok() ? ExecuteSerialized(*stmt) : StatusOr<ResultSet>(stmt.status());
   trace_.CloseSpan(root);
   // SHOW TRACE must keep returning the *previous* statement's spans, and
   // EXPLAIN TRACE already stored its inner trace.
@@ -99,19 +88,29 @@ StatusOr<ResultSet> Executor::Execute(const PreparedStatement& prepared,
 }
 
 StatusOr<ResultSet> Executor::Execute(const Statement& stmt) {
-  if (!db_->is_open()) {
-    // The atomic flag (not catalog()) keeps this dispatch safe on the
-    // snapshot-read path, which runs without the statement mutex while a
-    // VACUUM swap may be resetting the catalog handle. But "closed" may be
-    // that very swap mid-rebuild — it runs under the statement mutex, so
-    // one (recursion-safe) acquisition waits it out. Still closed after
-    // that means a failed swap or failed Open left the database genuinely
-    // closed, and every statement must say so rather than dereference it.
-    std::lock_guard<std::recursive_mutex> stmt_lock(*db_->statement_mutex());
-    if (!db_->is_open()) {
-      return Status::InvalidArgument("database is not open");
-    }
+  if (IsSnapshotRead(db_, stmt)) return ExecSelect(std::get<SelectStmt>(stmt));
+  return ExecuteSerialized(stmt);
+}
+
+StatusOr<ResultSet> Executor::ExecuteSerialized(const Statement& stmt) {
+  std::unique_lock<std::recursive_mutex> lock(*db_->statement_mutex(), std::defer_lock);
+  {
+    obs::TraceScope wait_span(obs::SpanKind::kGateWait);
+    lock.lock();
   }
+  // Checked under the mutex: a VACUUM swap that has the database closed
+  // mid-rebuild holds it, so only a failed swap or failed Open is seen here.
+  if (!db_->is_open()) return Status::InvalidArgument("database is not open");
+  StatusOr<ResultSet> result = Status::InvalidArgument("not executed");
+  {
+    obs::TraceScope exec_span(obs::SpanKind::kExecute);
+    result = Dispatch(stmt);
+  }
+  db_->CheckpointIfRequested();
+  return result;
+}
+
+StatusOr<ResultSet> Executor::Dispatch(const Statement& stmt) {
   if (const auto* s = std::get_if<CreateTableStmt>(&stmt)) return ExecCreateTable(*s);
   if (const auto* s = std::get_if<CreateViewStmt>(&stmt)) return ExecCreateView(*s);
   if (const auto* s = std::get_if<InsertStmt>(&stmt)) return ExecInsert(*s);
@@ -149,8 +148,10 @@ StatusOr<ResultSet> Executor::ExecExplainTrace(const ExplainTraceStmt& stmt) {
       inner = Parse(stmt.sql);
     }
     if (inner.ok()) {
+      // EXPLAIN TRACE itself is serialized, so the inner statement already
+      // runs under the statement mutex.
       obs::TraceScope exec_span(obs::SpanKind::kExecute);
-      result = Execute(*inner);
+      result = Dispatch(*inner);
     } else {
       result = inner.status();
     }
@@ -429,8 +430,7 @@ StatusOr<ResultSet> Executor::ExecSelectView(const SelectStmt& stmt,
                                              engine::ManagedView* view) {
   if (view->HasSnapshot()) {
     // The read's only synchronization is the pin acquisition — a lock-free
-    // shared_ptr load. Its latency lands in the mode="read" gate histogram
-    // so the before/after against mode="shared" is one SHOW METRICS away.
+    // shared_ptr load. Its latency lands in the mode="read" wait histogram.
     static obs::Histogram* read_wait = obs::Registry::Global().GetHistogram(
         "hazy_gate_wait_us", "mode=\"read\"");
     const int64_t t0 = NowNanos();
@@ -683,10 +683,12 @@ StatusOr<ResultSet> Executor::ExecSelect(const SelectStmt& stmt) {
       return ExecSelectView(stmt, view);
     }
   }
-  // A VACUUM swap is in progress: registration is refused and the handles
-  // are about to be invalidated. Serialize behind the VACUUM (it holds the
-  // statement mutex for the whole compaction) and resolve fresh handles.
+  // A VACUUM swap is in progress (or the database is closed): registration
+  // is refused and the handles are about to be invalidated. Serialize
+  // behind the VACUUM (it holds the statement mutex for the whole
+  // compaction) and resolve fresh handles.
   std::lock_guard<std::recursive_mutex> stmt_lock(*db_->statement_mutex());
+  if (!db_->is_open()) return Status::InvalidArgument("database is not open");
   if (!db_->HasView(stmt.table)) return ExecSelectTable(stmt);
   HAZY_ASSIGN_OR_RETURN(engine::ManagedView * view, db_->GetView(stmt.table));
   return ExecSelectView(stmt, view);

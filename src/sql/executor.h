@@ -26,18 +26,26 @@ namespace hazy::sql {
 /// text into a Statement once, Execute(const Statement&) runs it — so a
 /// prepared statement parses once and executes many times with BindParams.
 /// The string overload is the convenience composition of the two.
+///
+/// The executor owns statement serialization. A snapshot read
+/// (IsSnapshotRead) runs lock-free against a pinned epoch; every other
+/// statement runs under Database::statement_mutex(), and on its way out
+/// runs any checkpoint the background checkpointer handed off
+/// (Database::CheckpointIfRequested). Callers never lock anything.
 class Executor {
  public:
   explicit Executor(engine::Database* db) : db_(db) {}
 
-  /// Parses and executes one statement (Parse + Execute). When no trace is
-  /// already installed on this thread, the whole statement runs under the
-  /// executor's own TraceContext: parse/execute spans, subsystem events,
-  /// the statement latency histogram, and the slow-statement log. The
-  /// resulting span rows are kept for SHOW TRACE.
+  /// Parses (exactly once) and executes one statement. A serialized
+  /// statement runs under the executor's own TraceContext — a `statement`
+  /// root with `parse`, `gate.wait` (the statement-mutex wait) and
+  /// `execute` children, subsystem events, the statement latency
+  /// histogram, and the slow-statement log — and its span rows are kept
+  /// for SHOW TRACE. A snapshot read is not traced.
   StatusOr<ResultSet> Execute(const std::string& sql);
 
-  /// Executes an already-parsed statement.
+  /// Executes an already-parsed statement (serialized unless it is a
+  /// snapshot read; no trace root).
   StatusOr<ResultSet> Execute(const Statement& stmt);
 
   /// Executes a prepared template with `params` bound to its '?' slots
@@ -51,6 +59,12 @@ class Executor {
   }
 
  private:
+  /// Runs `stmt` under the statement mutex (booking the wait as a
+  /// `gate.wait` span), then runs any handed-off checkpoint.
+  StatusOr<ResultSet> ExecuteSerialized(const Statement& stmt);
+  /// Routes `stmt` to its Exec* body (caller holds the statement mutex).
+  StatusOr<ResultSet> Dispatch(const Statement& stmt);
+
   StatusOr<ResultSet> ExecCreateTable(const CreateTableStmt& stmt);
   StatusOr<ResultSet> ExecCreateView(const CreateViewStmt& stmt);
   StatusOr<ResultSet> ExecInsert(const InsertStmt& stmt);
@@ -67,12 +81,12 @@ class Executor {
   /// `view` valid (ExecSelect's scope or statement-mutex hold).
   StatusOr<ResultSet> ExecSelectView(const SelectStmt& stmt, engine::ManagedView* view);
   /// The lock-free read path: answers from a pinned epoch snapshot without
-  /// taking the statement gate or folding pending trigger updates (readers
+  /// taking the statement mutex or folding pending trigger updates (readers
   /// see the last published batch boundary — MVCC semantics).
   StatusOr<ResultSet> ExecSelectViewSnapshot(const SelectStmt& stmt,
                                              engine::ManagedView* view,
                                              const core::EpochSnapshot& snap);
-  /// The legacy path: reads under the statement gate with read-your-writes
+  /// The legacy path: reads under the statement mutex with read-your-writes
   /// (pending trigger updates fold first).
   StatusOr<ResultSet> ExecSelectViewGated(const SelectStmt& stmt,
                                           engine::ManagedView* view);
@@ -100,9 +114,9 @@ StatusOr<bool> MatchesPredicate(const storage::Schema& schema, const storage::Ro
                                 const Predicate& pred);
 
 /// True when `stmt` is a SELECT over a classification view with a published
-/// epoch snapshot. Such statements read immutable state and may run without
-/// the whole-statement mutex (server/session.cc uses this to let reads
-/// bypass a saturating update stream). The check registers itself as a
+/// epoch snapshot. Such statements read immutable state and run without the
+/// statement mutex (Executor::Execute uses this to let reads bypass a
+/// saturating update stream). The check registers itself as a
 /// snapshot reader for its duration (and answers false while a VACUUM swap
 /// refuses registration), so it never dereferences a view a concurrent
 /// VACUUM is tearing down. HasSnapshot is monotonic, so a true answer

@@ -430,7 +430,7 @@ Status BufferPool::FlushImpl(bool include_pinned) {
   std::vector<Frame*> chunk_frames;
   std::vector<uint64_t> gens;
   std::vector<bool> wrote;
-  // A caller at a quiesced point (checkpoint under the statement gate)
+  // A caller at a quiesced point (checkpoint under the statement mutex)
   // converges in two passes: pass 1 flushes every dirty frame and drains
   // whatever the writer detached meanwhile; pass 2 verifies nothing is
   // left. Racing mutators (the daemon's pre-flush) can re-dirty behind the
@@ -450,7 +450,8 @@ Status BufferPool::FlushImpl(bool include_pinned) {
           continue;
         }
         // A pinned frame's owner may be mutating the bytes right now;
-        // only a quiesced flush (checkpoint under the gate) includes it.
+        // only a quiesced flush (checkpoint under the statement mutex)
+        // includes it.
         if (!include_pinned && frame.pin_count > 0) continue;
         if (frame.in_lru) {
           lru_.erase(frame.lru_it);

@@ -186,7 +186,7 @@ class BufferPool {
   /// every dirty resident frame — with before-image logging batched and the
   /// write-ahead fsync coalesced (never issued under the pool mutex).
   /// Includes pinned frames, so it must run at a quiesced point (a
-  /// checkpoint under the exclusive statement gate): a pin means the owner
+  /// checkpoint under the statement mutex): a pin means the owner
   /// may be mutating the bytes mid-write.
   Status FlushAll() EXCLUDES(mu_, flush_mu_);
 

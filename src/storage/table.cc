@@ -7,6 +7,17 @@
 
 namespace hazy::storage {
 
+namespace {
+
+/// Holds the engine's statement mutex for one mutation; a no-op lock for
+/// tables used without an engine.
+std::unique_lock<std::recursive_mutex> LockStatement(std::recursive_mutex* mu) {
+  if (mu == nullptr) return {};
+  return std::unique_lock<std::recursive_mutex>(*mu);
+}
+
+}  // namespace
+
 Table::Table(std::string name, Schema schema, BufferPool* pool,
              std::optional<size_t> primary_key)
     : name_(std::move(name)),
@@ -78,6 +89,7 @@ Status Table::FireAndCommit(const std::vector<Trigger>& triggers, const Row& row
     if (!trigger_status.ok()) break;
   }
   if (wal_ != nullptr) HAZY_RETURN_NOT_OK(wal_->AutoCommit());
+  if (after_commit_) after_commit_();
   return trigger_status;
 }
 
@@ -89,11 +101,12 @@ Status Table::FireAndCommit(const std::vector<UpdateTrigger>& triggers,
     if (!trigger_status.ok()) break;
   }
   if (wal_ != nullptr) HAZY_RETURN_NOT_OK(wal_->AutoCommit());
+  if (after_commit_) after_commit_();
   return trigger_status;
 }
 
 Status Table::Insert(const Row& row) {
-  StatementGate::SharedGuard gate(gate_);
+  auto lock = LockStatement(statement_mu_);
   std::string rec;
   HAZY_RETURN_NOT_OK(schema_.EncodeRow(row, &rec));
   int64_t key = 0;
@@ -130,7 +143,7 @@ StatusOr<Row> Table::GetByKey(int64_t key) const {
 }
 
 Status Table::DeleteByKey(int64_t key) {
-  StatementGate::SharedGuard gate(gate_);
+  auto lock = LockStatement(statement_mu_);
   if (!primary_key_.has_value()) {
     return Status::InvalidArgument(StrFormat("table %s has no primary key", name_.c_str()));
   }
@@ -146,7 +159,7 @@ Status Table::DeleteByKey(int64_t key) {
 }
 
 Status Table::UpdateByKey(int64_t key, const Row& new_row) {
-  StatementGate::SharedGuard gate(gate_);
+  auto lock = LockStatement(statement_mu_);
   if (!primary_key_.has_value()) {
     return Status::InvalidArgument(StrFormat("table %s has no primary key", name_.c_str()));
   }
@@ -206,20 +219,22 @@ void Catalog::SetWal(Wal* wal) {
   for (const auto& t : tables_) t->SetWal(wal);
 }
 
-void Catalog::SetGate(StatementGate* gate) {
-  gate_ = gate;
-  for (const auto& t : tables_) t->SetGate(gate);
+void Catalog::SetStatementMutex(std::recursive_mutex* mu,
+                                std::function<void()> after_commit) {
+  statement_mu_ = mu;
+  after_commit_ = std::move(after_commit);
+  for (const auto& t : tables_) t->SetStatementMutex(mu, after_commit_);
 }
 
 StatusOr<Table*> Catalog::CreateTable(const std::string& name, Schema schema,
                                       std::optional<size_t> primary_key) {
-  StatementGate::SharedGuard gate(gate_);
+  auto lock = LockStatement(statement_mu_);
   if (HasTable(name)) {
     return Status::AlreadyExists(StrFormat("table '%s' already exists", name.c_str()));
   }
   auto table = std::make_unique<Table>(name, std::move(schema), pool_, primary_key);
   HAZY_RETURN_NOT_OK(table->Create());
-  table->SetGate(gate_);
+  table->SetStatementMutex(statement_mu_, after_commit_);
   if (wal_ != nullptr) {
     // DDL after a checkpoint must replay before the rows that reference it.
     std::string payload;
@@ -250,7 +265,7 @@ StatusOr<Table*> Catalog::AttachTable(const std::string& name, Schema schema,
   auto table = std::make_unique<Table>(name, std::move(schema), pool_, primary_key);
   HAZY_RETURN_NOT_OK(table->Attach(meta));
   table->SetWal(wal_);
-  table->SetGate(gate_);
+  table->SetStatementMutex(statement_mu_, after_commit_);
   tables_.push_back(std::move(table));
   return tables_.back().get();
 }

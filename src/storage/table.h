@@ -7,6 +7,7 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -15,7 +16,6 @@
 #include "storage/hash_index.h"
 #include "storage/heap_file.h"
 #include "storage/schema.h"
-#include "storage/statement_gate.h"
 #include "storage/wal.h"
 
 namespace hazy::storage {
@@ -69,9 +69,15 @@ class Table {
   /// Recovery replays the records through these same entry points.
   void SetWal(Wal* wal) { wal_ = wal; }
 
-  /// Attaches the statement gate: row mutations hold it shared so the
-  /// background checkpointer can exclude them at its commit section.
-  void SetGate(StatementGate* gate) { gate_ = gate; }
+  /// Attaches the engine's statement mutex: every row mutation (triggers
+  /// included) holds it, so direct callers are serialized against SQL
+  /// statements and checkpoints without locking anything themselves.
+  /// `after_commit` runs, still under the mutex, once each mutation has
+  /// committed — a statement boundary (the engine's checkpoint hand-off).
+  void SetStatementMutex(std::recursive_mutex* mu, std::function<void()> after_commit) {
+    statement_mu_ = mu;
+    after_commit_ = std::move(after_commit);
+  }
 
   /// Every page this table's heap owns (data + overflow chains); the
   /// recovery mark-and-sweep's reachability input.
@@ -89,10 +95,11 @@ class Table {
   /// (no-op without a WAL). `row` is required for insert/update ops.
   Status LogRowOp(WalOp op, int64_t key, const Row* row);
 
-  /// Fires `triggers` then commits the mutation's logical record. Commits
-  /// even when a trigger fails: the heap mutation DID apply (the live state
-  /// the caller observes), and an uncommitted record would be swept into
-  /// the next statement's commit marker. Returns the first trigger error.
+  /// Fires `triggers`, commits the mutation's logical record, then runs
+  /// after_commit_. Commits even when a trigger fails: the heap mutation
+  /// DID apply (the live state the caller observes), and an uncommitted
+  /// record would be swept into the next statement's commit marker.
+  /// Returns the first trigger error.
   Status FireAndCommit(const std::vector<Trigger>& triggers, const Row& row);
   Status FireAndCommit(const std::vector<UpdateTrigger>& triggers, const Row& old_row,
                        const Row& new_row);
@@ -103,7 +110,8 @@ class Table {
   std::optional<size_t> primary_key_;
   HashIndex pk_index_;
   Wal* wal_ = nullptr;
-  StatementGate* gate_ = nullptr;
+  std::recursive_mutex* statement_mu_ = nullptr;
+  std::function<void()> after_commit_;
   std::vector<Trigger> insert_triggers_;
   std::vector<Trigger> delete_triggers_;
   std::vector<UpdateTrigger> update_triggers_;
@@ -135,13 +143,16 @@ class Catalog {
   /// table (existing and future) logs its row mutations through it.
   void SetWal(Wal* wal);
 
-  /// Attaches the statement gate to every table (existing and future).
-  void SetGate(StatementGate* gate);
+  /// Attaches the statement mutex and commit hook to every table (existing
+  /// and future; see Table::SetStatementMutex). CREATE TABLE holds the
+  /// mutex too.
+  void SetStatementMutex(std::recursive_mutex* mu, std::function<void()> after_commit);
 
  private:
   BufferPool* pool_;
   Wal* wal_ = nullptr;
-  StatementGate* gate_ = nullptr;
+  std::recursive_mutex* statement_mu_ = nullptr;
+  std::function<void()> after_commit_;
   std::vector<std::unique_ptr<Table>> tables_;
 };
 

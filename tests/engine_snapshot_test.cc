@@ -342,8 +342,9 @@ TEST_P(EngineSnapshotTest, CheckpointRacingReadersRecoversBitIdentical) {
 }
 
 // Readers running the server session's exact sequence — parse, then
-// IsSnapshotRead, then Execute — while VACUUM repeatedly swaps the backing
-// file and frees every ManagedView. Regression for a use-after-free: the
+// Executor::Execute, which routes through IsSnapshotRead — while VACUUM
+// repeatedly swaps the backing file and frees every ManagedView.
+// Regression for a use-after-free: the
 // view pointer used to be resolved (and dereferenced by HasSnapshot) before
 // the reader registered in a SnapshotReadScope, so the swap's drain could
 // miss the reader and tear the view down under it. ASan/TSan runs of this
@@ -390,11 +391,7 @@ TEST(SnapshotVacuumRaceTest, ReadersRacingVacuumNeverCrash) {
       while (!stop.load(std::memory_order_relaxed)) {
         auto stmt = sql::Parse("SELECT class FROM Labeled_Papers WHERE id = 3");
         ASSERT_TRUE(stmt.ok());
-        auto rs = [&]() -> StatusOr<sql::ResultSet> {
-          if (sql::IsSnapshotRead(&db, *stmt)) return exec.Execute(*stmt);
-          std::lock_guard<std::recursive_mutex> lock(*db.statement_mutex());
-          return exec.Execute(*stmt);
-        }();
+        auto rs = exec.Execute(*stmt);
         EXPECT_TRUE(rs.ok()) << rs.status().ToString();
         if (rs.ok()) {
           EXPECT_EQ(rs->rows.size(), 1u);

@@ -7,6 +7,8 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <thread>
+#include <vector>
 
 #include "engine/database.h"
 #include "storage/pager.h"
@@ -74,6 +76,40 @@ TEST_F(EngineTest, ExampleInsertTriggersModelUpdate) {
   ASSERT_TRUE(examples_->Insert(Row{int64_t{0}, std::string("DB")}).ok());
   ASSERT_TRUE(examples_->Insert(Row{int64_t{5}, std::string("OTHER")}).ok());
   EXPECT_EQ((*view)->view()->stats().updates, 2u);
+}
+
+TEST_F(EngineTest, ConcurrentDirectInsertsAreSerialized) {
+  // Two threads feed an eager view through its examples table with no
+  // locking of their own: Table::Insert takes the statement mutex, so the
+  // trigger bodies never race on view state (the TSan build checks), and
+  // the view trains on every example exactly once.
+  constexpr int64_t kPerThread = 100;
+  for (int64_t id = kTestCorpusSize; id < kTestCorpusSize + 2 * kPerThread; ++id) {
+    ASSERT_TRUE(
+        papers_->Insert(Row{id, std::string(kTestCorpusTitles[id % kTestCorpusSize])}).ok());
+  }
+  ClassificationViewDef def = Def();
+  def.mode = core::Mode::kEager;
+  auto view = db_->CreateClassificationView(def);
+  ASSERT_TRUE(view.ok());
+  std::vector<std::thread> writers;
+  for (int64_t t = 0; t < 2; ++t) {
+    writers.emplace_back([this, t] {
+      for (int64_t id = kTestCorpusSize + t; id < kTestCorpusSize + 2 * kPerThread;
+           id += 2) {
+        Row example{id, std::string(TestCorpusLabel(id % kTestCorpusSize))};
+        EXPECT_TRUE(examples_->Insert(example).ok()) << id;
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  EXPECT_EQ(examples_->num_rows(), static_cast<uint64_t>(2 * kPerThread));
+  EXPECT_EQ((*view)->view()->stats().updates, static_cast<uint64_t>(2 * kPerThread));
+  auto db_count = (*view)->CountOf("DB");
+  auto other_count = (*view)->CountOf("OTHER");
+  ASSERT_TRUE(db_count.ok() && other_count.ok());
+  EXPECT_EQ(*db_count + *other_count,
+            static_cast<uint64_t>(kTestCorpusSize + 2 * kPerThread));
 }
 
 TEST_F(EngineTest, LearnedViewSeparatesClasses) {

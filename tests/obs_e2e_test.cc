@@ -200,6 +200,13 @@ TEST_F(ObsEndToEndTest, ShowTraceReportsPreviousStatement) {
   auto span = trace.TextAt(0, 1);
   ASSERT_TRUE(span.ok());
   EXPECT_EQ(*span, "statement");
+  // The INSERT ran under the statement mutex, and its wait is booked.
+  bool saw_wait = false;
+  for (size_t i = 0; i < trace.rows.size(); ++i) {
+    auto name = trace.TextAt(i, 1);
+    if (name.ok() && *name == "gate.wait") saw_wait = true;
+  }
+  EXPECT_TRUE(saw_wait);
   // Idempotent: SHOW TRACE does not clobber the saved trace.
   auto again = MustExec("SHOW TRACE");
   EXPECT_EQ(again.rows.size(), trace.rows.size());

@@ -1,13 +1,20 @@
 // Tests for the background checkpointer (persist/checkpoint_daemon.h): WAL
 // length stays bounded under sustained ingest, recovered view state is
 // bit-identical with the daemon racing kills (clean drops and torn writes
-// inside a daemon-initiated checkpoint), batch-boundary hand-off, and the
-// PRAGMA knob surface.
+// inside a daemon-initiated checkpoint), batch-boundary hand-off, the
+// statement-lock hand-off under saturating SQL writers, stopping the daemon
+// under load without deadlock, and the PRAGMA knob surface.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,7 +36,7 @@ using storage::Schema;
 
 // Deterministic cost model (see persist_wal_test.cc) + aggressive daemon:
 // tiny byte threshold, fast polls — it checkpoints constantly, racing the
-// workload statements through the statement gate.
+// workload statements for the statement mutex.
 DatabaseOptions DaemonOptions(const std::string& path, bool daemon) {
   DatabaseOptions opts;
   opts.path = path;
@@ -253,6 +260,121 @@ TEST_F(CheckpointDaemonTest, BatchBoundaryHandoffBoundsWalInsideBatches) {
   // boundary hand-off must have checkpointed several times.
   EXPECT_GE(db.checkpoint_epoch(), 3u);
   EXPECT_LT(db.wal()->tail_bytes(), 1024u * 1024u);
+}
+
+// Runs `fn` on its own thread and returns its status. Ends the test binary
+// when `fn` does not return within `limit`: a deadlocked thread cannot be
+// joined, so waiting for it would hang the suite instead of failing it.
+Status ReturnsWithin(std::chrono::seconds limit, const std::function<Status()>& fn) {
+  auto done = std::async(std::launch::async, fn);
+  if (done.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr, "statement did not return within %llds: deadlock\n",
+                 static_cast<long long>(limit.count()));
+    std::_Exit(1);
+  }
+  return done.get();
+}
+
+std::string InsertKv(int64_t id, const std::string& value) {
+  return "INSERT INTO kv VALUES (" + std::to_string(id) + ", '" + value + "')";
+}
+
+TEST_F(CheckpointDaemonTest, SaturatingSqlWritersDoNotStarveCheckpoints) {
+  // Four SQL sessions keep the statement mutex almost always held, so the
+  // daemon's try_lock mostly fails. The hand-off must still land
+  // checkpoints — each one delayed by at most the statement holding the
+  // mutex — and keep the WAL tail bounded.
+  DatabaseOptions opts;
+  opts.path = NewPath("daemonsat");
+  opts.wal.sync_mode = storage::WalOptions::SyncMode::kGroupCommit;
+  opts.checkpointer.enabled = true;
+  opts.checkpointer.wal_checkpoint_bytes = 256 * 1024;
+  opts.checkpointer.poll_seconds = 0.001;
+  Database db(opts);
+  ASSERT_TRUE(db.Open().ok());
+  ASSERT_TRUE(sql::Executor(&db).Execute("CREATE TABLE kv (id INT PRIMARY KEY, v TEXT)").ok());
+  const uint64_t epoch0 = db.checkpoint_epoch();
+  const std::string value(512, 'v');
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> peak{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 4; ++t) {
+    writers.emplace_back([&, t] {
+      sql::Executor exec(&db);
+      for (int64_t id = t; !stop.load(); id += 4) {
+        Status s = exec.Execute(InsertKv(id, value)).status();
+        if (!s.ok()) {
+          ADD_FAILURE() << s.ToString();
+          return;
+        }
+        const uint64_t tail = db.wal()->tail_bytes();
+        uint64_t seen = peak.load();
+        while (tail > seen && !peak.compare_exchange_weak(seen, tail)) {
+        }
+      }
+    });
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (db.checkpoint_epoch() < epoch0 + 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  stop.store(true);
+  for (auto& w : writers) w.join();
+  EXPECT_GE(db.checkpoint_epoch(), epoch0 + 3) << "checkpoints starved by writers";
+  ASSERT_NE(db.checkpoint_daemon(), nullptr);
+  EXPECT_GE(db.checkpoint_daemon()->checkpoints_taken(), 3u);
+  EXPECT_TRUE(db.checkpoint_daemon()->last_error().ok());
+  EXPECT_LT(peak.load(), 4 * opts.checkpointer.wal_checkpoint_bytes)
+      << "WAL tail grew unbounded under ingest";
+}
+
+TEST_F(CheckpointDaemonTest, StoppingTheDaemonUnderIngestDoesNotDeadlock) {
+  // VACUUM and PRAGMA checkpoint_daemon = off join the daemon thread while
+  // holding the statement mutex. Both must return while the daemon keeps
+  // triggering (tiny threshold) and another session ingests: a daemon that
+  // blocked on the mutex would deadlock them.
+  Database db(DaemonOptions(NewPath("daemonstop"), /*daemon=*/true));
+  ASSERT_TRUE(db.Open().ok());
+  sql::Executor admin(&db);
+  ASSERT_TRUE(admin.Execute("CREATE TABLE kv (id INT PRIMARY KEY, v TEXT)").ok());
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> inserted{0};
+  std::thread ingest([&] {
+    sql::Executor exec(&db);
+    for (int64_t id = 0; !stop.load(); ++id) {
+      Status s = exec.Execute(InsertKv(id, "row")).status();
+      if (!s.ok()) {
+        ADD_FAILURE() << s.ToString();
+        return;
+      }
+      inserted.fetch_add(1);
+    }
+  });
+  auto ingest_for = [&](int64_t rows) {
+    const int64_t target = inserted.load() + rows;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (inserted.load() < target && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  };
+
+  ingest_for(200);
+  EXPECT_TRUE(ReturnsWithin(std::chrono::seconds(10), [&] {
+                return admin.Execute("VACUUM;").status();
+              }).ok());
+  // The daemon restarts with the compacted file.
+  EXPECT_NE(db.checkpoint_daemon(), nullptr);
+  ingest_for(200);
+  EXPECT_TRUE(ReturnsWithin(std::chrono::seconds(10), [&] {
+                return admin.Execute("PRAGMA checkpoint_daemon = off;").status();
+              }).ok());
+  EXPECT_EQ(db.checkpoint_daemon(), nullptr);
+  stop.store(true);
+  ingest.join();
+  auto count = admin.Execute("SELECT COUNT(*) FROM kv");
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(std::get<int64_t>(count->rows[0][0]), inserted.load());
 }
 
 TEST_F(CheckpointDaemonTest, PragmaControlsDaemonAndWriter) {

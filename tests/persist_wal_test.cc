@@ -242,9 +242,9 @@ TEST_F(WalCrashInjectionTest, KillAtEveryPrefixWithSnapshotReadersMatchesReferen
         auto stmt = sql::Parse("SELECT * FROM Labeled_Papers");
         ASSERT_TRUE(stmt.ok());
         while (!stop.load(std::memory_order_relaxed)) {
-          // Route exactly like a server session: only snapshot-eligible
-          // reads run without the statement serialization (before the view
-          // publishes its first epoch there is nothing to read).
+          // Only snapshot-eligible reads: they run without the statement
+          // mutex, so the reader never serializes with the workload (before
+          // the view publishes its first epoch there is nothing to read).
           if (sql::IsSnapshotRead(&db, *stmt)) {
             EXPECT_TRUE(exec.Execute(*stmt).ok());
           } else {

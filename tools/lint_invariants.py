@@ -11,12 +11,19 @@ balance:
                            invariant that keeps foreground faults from
                            serializing behind another page's fsync.
 
-  gate-on-reactor-thread   No statement-gate or statement-mutex acquisition
-                           in code that runs on the reactor thread (the epoll
-                           loop and the ReactorHandler callbacks). A wedged
-                           statement must never wedge accept/read/write for
-                           every connection — that is the whole point of the
-                           dispatcher handoff.
+  gate-on-reactor-thread   No statement-mutex acquisition in code that runs
+                           on the reactor thread (the epoll loop and the
+                           ReactorHandler callbacks). A wedged statement must
+                           never wedge accept/read/write for every connection
+                           — that is the whole point of the dispatcher
+                           handoff.
+
+  statement-lock-site      statement_mutex() is named under src/ only by the
+                           code that owns statement serialization:
+                           sql/executor.cc, engine/, and
+                           persist/checkpoint_daemon.cc (which only
+                           try_locks). Callers such as the server session go
+                           through sql::Executor and never lock it.
 
   unconsumed-epoch-pin     Every EpochManager::Pin() result must be bound
                            (the SnapshotPin RAII holder is the unpin). A
@@ -172,10 +179,7 @@ def check_fsync_under_pool_mutex():
                 # fine here — these two files release explicitly around I/O.
 
 
-GATE_RE = re.compile(
-    r"StatementGate::(Shared|Exclusive)Guard|statement_mutex\s*\(\)|"
-    r"\b(Shared|Exclusive)Guard\b"
-)
+GATE_RE = re.compile(r"statement_mutex\s*\(\)")
 REACTOR_HANDLERS = {"OnConnect", "OnFrame", "OnDisconnect"}
 
 
@@ -186,7 +190,7 @@ def check_gate_on_reactor_thread():
         if GATE_RE.search(line.split("//")[0]):
             if not allowed(lines, idx, "gate-on-reactor-thread"):
                 report(path, idx, "gate-on-reactor-thread",
-                       "statement gate/mutex on the reactor thread")
+                       "statement mutex on the reactor thread")
     for fname in ("server.cc", "session.cc"):
         path = SRC / "server" / fname
         text = path.read_text()
@@ -202,8 +206,27 @@ def check_gate_on_reactor_thread():
                         report(
                             path, idx, "gate-on-reactor-thread",
                             f"{short} runs on the reactor thread but takes "
-                            "the statement gate/mutex",
+                            "the statement mutex",
                         )
+
+
+STATEMENT_LOCK_SITES = ("sql/executor.cc", "engine/",
+                        "persist/checkpoint_daemon.cc")
+
+
+def check_statement_lock_site():
+    for path in sorted(SRC.rglob("*.cc")) + sorted(SRC.rglob("*.h")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel.startswith(STATEMENT_LOCK_SITES):
+            continue
+        lines = path.read_text().splitlines()
+        for idx, line in enumerate(lines):
+            if GATE_RE.search(line.split("//")[0]):
+                if not allowed(lines, idx, "statement-lock-site"):
+                    report(path, idx, "statement-lock-site",
+                           "statement_mutex() outside the executor, engine "
+                           "and checkpoint daemon — run the statement "
+                           "through sql::Executor instead")
 
 
 PIN_BARE_RE = re.compile(r"^\s*[\w\.\->\(\)]*\bPin\(\)\s*;")
@@ -263,6 +286,7 @@ def check_unexplained_void_status():
 def main():
     check_fsync_under_pool_mutex()
     check_gate_on_reactor_thread()
+    check_statement_lock_site()
     check_unconsumed_epoch_pin()
     check_escape_hatch_budget()
     check_unexplained_void_status()
