@@ -2,17 +2,22 @@
 // stream, against a read-only baseline — the acceptance benchmark for
 // epoch-based snapshot reads (reads never wait on ingest).
 //
-// Three phases over one embedded database with a classification view:
+// Four phases over one embedded database with a classification view:
 //
 //   read-only:  R reader threads hammer single-entity SELECTs through the
 //               SQL layer with no writer anywhere; p50/p99 latency and
 //               aggregate QPS are the baseline.
 //   mixed:      the same readers run again while a writer thread ingests
-//               continuously (new entity + new training example per
-//               statement, holding the statement mutex exactly as a server
-//               session would). Readers route through the snapshot path and
-//               never take that mutex, so read QPS should stay within a few
-//               percent of the baseline — the headline ratio.
+//               continuously (a new entity, then a training example for
+//               it; the executor serializes each statement). Readers route
+//               through the snapshot path and never take the statement
+//               mutex, so read QPS should stay within a few percent of the
+//               baseline — the headline ratio.
+//   members:    one reader lists a class (All Members) over and over while
+//               the writer keeps ingesting. Each epoch moves the model, so
+//               the reads label rows from eps columns built under earlier
+//               epochs; rows scored vs. rows settled by the water lines per
+//               scan show how narrow the Hölder window stays under drift.
 //   reclaim:    a pin is held across a publication and released, proving a
 //               retired epoch reclaims (and moving the
 //               hazy_epoch_reclaimed_total counter for the dead-metric
@@ -23,9 +28,8 @@
 //   HAZY_MIXED_ENTITIES  corpus size                  (default 2000)
 //   HAZY_MIXED_READERS   reader threads               (default 4)
 //   HAZY_MIXED_READS     reads per phase (aggregate)  (default 40000)
-//   HAZY_MIXED_GATED     1 = force readers onto the serialized
-//                        statement-mutex path (the pre-snapshot
-//                        behavior) for a before/after comparison
+//   HAZY_MIXED_SCANS     All Members reads in the members phase
+//                        (default 200)
 
 #include <algorithm>
 #include <atomic>
@@ -33,7 +37,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -42,7 +45,6 @@
 #include "bench/bench_util.h"
 #include "engine/database.h"
 #include "sql/executor.h"
-#include "sql/parser.h"
 
 namespace {
 
@@ -89,11 +91,10 @@ struct PhaseResult {
 };
 
 /// Runs `total_reads` single-entity SELECTs across `threads` reader
-/// threads, each routed exactly as a server session routes them: snapshot
-/// reads execute without the statement mutex, anything else would take it.
+/// threads through the executor, which runs snapshot reads without the
+/// statement mutex.
 PhaseResult RunReaders(hazy::engine::Database* db, size_t threads,
-                       size_t total_reads, size_t key_space,
-                       bool force_gated) {
+                       size_t total_reads, size_t key_space) {
   std::vector<std::vector<double>> latencies(threads);
   std::atomic<bool> failed{false};
   const size_t per_thread = total_reads / threads;
@@ -109,19 +110,7 @@ PhaseResult RunReaders(hazy::engine::Database* db, size_t threads,
         const std::string q =
             "SELECT class FROM V WHERE id = " + std::to_string(id);
         const auto t0 = Clock::now();
-        auto stmt = hazy::sql::Parse(q);
-        if (!stmt.ok()) {
-          failed.store(true);
-          break;
-        }
-        // Initialized via lambda: StatusOr rejects a default OK status.
-        auto rs = [&]() -> hazy::StatusOr<hazy::sql::ResultSet> {
-          if (!force_gated && hazy::sql::IsSnapshotRead(db, *stmt)) {
-            return exec.Execute(*stmt);
-          }
-          std::lock_guard<std::recursive_mutex> lock(*db->statement_mutex());
-          return exec.Execute(*stmt);
-        }();
+        auto rs = exec.Execute(q);
         if (!rs.ok() || rs->rows.size() != 1) {
           failed.store(true);
           break;
@@ -157,8 +146,7 @@ int main(int argc, char** argv) {
   const size_t entities = EnvSize("HAZY_MIXED_ENTITIES", 2000);
   const size_t readers = EnvSize("HAZY_MIXED_READERS", 4);
   const size_t reads = EnvSize("HAZY_MIXED_READS", 40000);
-  const char* gated_env = std::getenv("HAZY_MIXED_GATED");
-  const bool force_gated = gated_env != nullptr && *gated_env == '1';
+  const size_t scans = EnvSize("HAZY_MIXED_SCANS", 200);
 
   hazy::engine::Database db;
   if (!db.Open().ok()) {
@@ -204,15 +192,14 @@ int main(int argc, char** argv) {
   }
 
   // --- Phase 1: read-only baseline. ----------------------------------------
-  const PhaseResult baseline =
-      RunReaders(&db, readers, reads, entities, force_gated);
+  const PhaseResult baseline = RunReaders(&db, readers, reads, entities);
 
   // --- Phase 2: the same readers under a saturating ingest stream. ---------
   std::atomic<bool> stop_writer{false};
   std::atomic<uint64_t> writes{0};
-  std::thread writer([&] {
+  int64_t next_id = static_cast<int64_t>(entities);
+  auto ingest = [&] {
     hazy::sql::Executor wexec(&db);
-    int64_t next_id = static_cast<int64_t>(entities);
     while (!stop_writer.load(std::memory_order_relaxed)) {
       const int64_t id = next_id++;
       const std::string paper = "INSERT INTO Papers VALUES (" +
@@ -221,7 +208,6 @@ int main(int argc, char** argv) {
       const std::string example = "INSERT INTO Examples VALUES (" +
                                   std::to_string(id) + ", '" +
                                   (IsDbClass(id) ? "DB" : "OTHER") + "')";
-      std::lock_guard<std::recursive_mutex> lock(*db.statement_mutex());
       if (!wexec.Execute(paper).ok() || !wexec.Execute(example).ok()) {
         std::fprintf(stderr, "writer failed at id %lld\n",
                      static_cast<long long>(id));
@@ -229,12 +215,12 @@ int main(int argc, char** argv) {
       }
       writes.fetch_add(2, std::memory_order_relaxed);
     }
-  });
+  };
+  std::thread writer(ingest);
   // Readers stay inside the original key space: every key they touch exists
   // in every epoch, so answers are single-row in both phases.
   const auto mixed_start = Clock::now();
-  const PhaseResult mixed =
-      RunReaders(&db, readers, reads, entities, force_gated);
+  const PhaseResult mixed = RunReaders(&db, readers, reads, entities);
   const double mixed_elapsed =
       std::chrono::duration<double>(Clock::now() - mixed_start).count();
   stop_writer.store(true);
@@ -242,12 +228,48 @@ int main(int argc, char** argv) {
   const double write_rate =
       mixed_elapsed > 0 ? static_cast<double>(writes.load()) / mixed_elapsed : 0;
 
-  // --- Phase 3: deterministic epoch retire + reclaim. ----------------------
   auto view = db.GetView("V");
   if (!view.ok()) {
     std::fprintf(stderr, "view lookup failed\n");
     return 1;
   }
+
+  // --- Phase 3: All Members reads under the same ingest stream. ------------
+  const hazy::core::ViewStats& vstats = (*view)->view()->stats();
+  const uint64_t scored_before = vstats.tuples_scanned;
+  const uint64_t bounds_before = vstats.rows_by_bounds;
+  const uint64_t queries_before = vstats.all_members_queries;
+  stop_writer.store(false);
+  writer = std::thread(ingest);
+  {
+    hazy::sql::Executor rexec(&db);
+    for (size_t i = 0; i < scans; ++i) {
+      auto rs = rexec.Execute(i % 2 == 0
+                                  ? "SELECT id FROM V WHERE class = 'DB'"
+                                  : "SELECT id FROM V WHERE class = 'OTHER'");
+      if (!rs.ok() || rs->rows.empty()) {
+        std::fprintf(stderr, "members read failed\n");
+        stop_writer.store(true);
+        writer.join();
+        return 1;
+      }
+    }
+  }
+  stop_writer.store(true);
+  writer.join();
+  const uint64_t member_scans = vstats.all_members_queries - queries_before;
+  const double scored_per_scan =
+      member_scans > 0
+          ? static_cast<double>(vstats.tuples_scanned - scored_before) /
+                static_cast<double>(member_scans)
+          : 0;
+  const double by_bounds_per_scan =
+      member_scans > 0
+          ? static_cast<double>(vstats.rows_by_bounds - bounds_before) /
+                static_cast<double>(member_scans)
+          : 0;
+
+  // --- Phase 4: deterministic epoch retire + reclaim. ----------------------
   {
     hazy::core::SnapshotPin pin = (*view)->PinSnapshot();
     must("INSERT INTO Examples VALUES (250, 'DB')");  // publishes a new epoch
@@ -265,9 +287,8 @@ int main(int argc, char** argv) {
   const double p50_ratio_pct =
       mixed.p50_us > 0 ? 100.0 * baseline.p50_us / mixed.p50_us : 0;
 
-  std::printf("micro_mixed_rw: %zu entities, %zu readers, %zu reads/phase%s\n",
-              entities, readers, reads,
-              force_gated ? " [GATED: statement-mutex readers]" : "");
+  std::printf("micro_mixed_rw: %zu entities, %zu readers, %zu reads/phase\n",
+              entities, readers, reads);
   hazy::bench::TablePrinter table({"metric", "read-only", "under ingest"});
   table.AddRow({"read qps", hazy::bench::FormatRate(baseline.qps),
                 hazy::bench::FormatRate(mixed.qps)});
@@ -283,6 +304,11 @@ int main(int argc, char** argv) {
       "(%llu epochs reclaimed, %llu live)\n",
       ratio_pct, p50_ratio_pct, static_cast<unsigned long long>(reclaimed),
       static_cast<unsigned long long>(live));
+  std::printf(
+      "All Members under ingest: %.1f rows scored, %.1f settled by the water "
+      "lines per scan (%llu scans)\n",
+      scored_per_scan, by_bounds_per_scan,
+      static_cast<unsigned long long>(member_scans));
 
   hazy::bench::ReportMetric("micro_mixed_rw", "baseline_read_qps",
                             baseline.qps, "req/s");
@@ -299,6 +325,10 @@ int main(int argc, char** argv) {
                             "%");
   hazy::bench::ReportMetric("micro_mixed_rw", "writer_stmts_per_s", write_rate,
                             "stmt/s");
+  hazy::bench::ReportMetric("micro_mixed_rw", "rows_scored_per_scan",
+                            scored_per_scan, "rows");
+  hazy::bench::ReportMetric("micro_mixed_rw", "rows_by_bounds_per_scan",
+                            by_bounds_per_scan, "rows");
   hazy::bench::ReportMetric("micro_mixed_rw", "epochs_reclaimed",
                             static_cast<double>(reclaimed), "count");
   return hazy::bench::FlushBenchReport();

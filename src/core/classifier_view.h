@@ -80,7 +80,10 @@ struct ViewStats {
   obs::RelaxedU64 reorgs;
   obs::RelaxedU64 incremental_steps;
   obs::RelaxedU64 window_tuples;    ///< tuples inspected inside water windows
-  obs::RelaxedU64 tuples_scanned;   ///< tuples touched by full scans
+  obs::RelaxedU64 tuples_scanned;   ///< tuples scored by All Members scans
+  /// Snapshot All Members rows labeled from a stored eps by the water lines
+  /// without rescoring (not checkpointed: a restart rebuilds the columns).
+  obs::RelaxedU64 rows_by_bounds;
   obs::RelaxedU64 label_flips;
   obs::RelaxedU64 single_reads;
   obs::RelaxedU64 reads_by_bounds;  ///< answered by the ε-map/water test alone

@@ -1,6 +1,8 @@
 #include "core/epoch.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/strings.h"
 #include "core/scan_pipeline.h"
@@ -48,47 +50,184 @@ const Entity* EpochEntityStore::Find(int64_t id) const {
   return nullptr;
 }
 
+EpochSnapshot::EpochSnapshot(uint64_t epoch, ml::LinearModel model,
+                             std::shared_ptr<const EpochEntityStore> store,
+                             double holder_p)
+    : epoch_(epoch),
+      model_(std::make_shared<const ml::LinearModel>(std::move(model))),
+      store_(std::move(store)),
+      holder_p_(holder_p) {}
+
 StatusOr<int> EpochSnapshot::SingleEntityRead(int64_t id) const {
   const Entity* e = store_->Find(id);
   if (e == nullptr) {
     return Status::NotFound(
         StrFormat("no entity with id %lld", static_cast<long long>(id)));
   }
-  return model_.Classify(e->features);
+  return model_->Classify(e->features);
 }
 
-StatusOr<std::vector<int64_t>> EpochSnapshot::AllMembers(int label) const {
-  std::vector<int64_t> out;
-  std::vector<int8_t> labels;
-  for (const auto& chunk : store_->chunks()) {
-    const auto& rows = chunk->rows;
-    labels.resize(rows.size());
-    ClassifyRange(
-        rows.size(), model_, kMinParallelScan,
-        [&](size_t i) -> const ml::FeatureVector& { return rows[i].features; },
-        labels.data());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (labels[i] == label) out.push_back(rows[i].id);
+void EpochSnapshot::BuildColumn(const EpochChunk& chunk, const EpsColumn* prev,
+                                int8_t* labels) const {
+  const auto& rows = chunk.rows;
+  auto col = std::make_shared<EpsColumn>();
+  col->model = model_;
+  col->eps.resize(rows.size());
+  ScoreRange(
+      rows.size(), *model_, kMinParallelScan,
+      [&](size_t i) -> const ml::FeatureVector& { return rows[i].features; },
+      col->eps.data());
+  if (prev != nullptr) {
+    col->max_norm_q = prev->max_norm_q;
+    col->max_terms = prev->max_terms;
+  } else {
+    const double q = ml::HolderConjugate(holder_p_);
+    for (const Entity& e : rows) {
+      col->max_norm_q = std::max(col->max_norm_q, e.features.Norm(q));
+      col->max_terms =
+          std::max(col->max_terms, static_cast<uint32_t>(e.features.nnz()));
     }
   }
+  col->model_norm_p =
+      ml::LinearModel::DeltaNorm(*model_, ml::LinearModel{}, holder_p_);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    labels[i] = static_cast<int8_t>(ml::SignOf(col->eps[i]));
+  }
+  std::atomic_store_explicit(&chunk.eps_column,
+                             std::shared_ptr<const EpsColumn>(std::move(col)),
+                             std::memory_order_release);
+}
+
+void EpochSnapshot::LabelChunk(
+    const EpochChunk& chunk, int8_t* labels, ScanCounts* counts,
+    std::vector<std::pair<std::shared_ptr<const ml::LinearModel>, double>>*
+        delta_cache) const {
+  const auto& rows = chunk.rows;
+  const size_t n = rows.size();
+  if (n == 0) return;
+  auto col =
+      std::atomic_load_explicit(&chunk.eps_column, std::memory_order_acquire);
+  if (col == nullptr) {
+    BuildColumn(chunk, nullptr, labels);
+    counts->scored += n;
+    return;
+  }
+  const double* eps = col->eps.data();
+  if (col->model == model_) {
+    // Built under this very model: the stored eps are the answer.
+    for (size_t i = 0; i < n; ++i) {
+      labels[i] = static_cast<int8_t>(ml::SignOf(eps[i]));
+    }
+    counts->by_bounds += n;
+    return;
+  }
+
+  const ml::LinearModel& ref = *col->model;
+  double delta = -1.0;
+  for (const auto& [m, d] : *delta_cache) {
+    if (m == col->model) delta = d;
+  }
+  if (delta < 0.0) {
+    delta = ml::LinearModel::DeltaNorm(*model_, ref, holder_p_);
+    delta_cache->emplace_back(col->model, delta);
+  }
+  // Lemma 3.1: |eps(w) − eps(w_s) + db| <= M·‖δw‖_p for every row, so a
+  // stored eps at or above hw stays >= 0 and one below lw stays < 0. The
+  // slack covers the rounding of both dot products (each off by at most
+  // ~terms·ulp·(‖w‖_p·M + |b|)) and of the bound itself.
+  const double m = col->max_norm_q;
+  const double reach = m * delta;
+  const double db = model_->b - ref.b;
+  const double slack =
+      2.0 * (col->max_terms + 2.0) * std::numeric_limits<double>::epsilon() *
+      (m * (2.0 * col->model_norm_p + 2.0 * delta) + std::fabs(ref.b) +
+       std::fabs(model_->b) + std::fabs(db));
+  const double hw = reach + db + slack;
+  const double lw = -reach + db - slack;
+
+  std::vector<uint32_t> window;
+  for (size_t i = 0; i < n; ++i) {
+    const double e = eps[i];
+    if (e >= hw) {
+      labels[i] = 1;
+    } else if (e < lw) {
+      labels[i] = -1;
+    } else {
+      window.push_back(static_cast<uint32_t>(i));
+    }
+  }
+
+  // Skiing (§3.3) with α = 1 and tuple counts as cost: once the rows
+  // scored inside this column's windows reach a rebuild's cost (n rows),
+  // the reader whose window crosses that line rebuilds under its model.
+  const uint64_t before =
+      col->window_rows.fetch_add(window.size(), std::memory_order_relaxed);
+  if (before < n && before + window.size() >= n) {
+    BuildColumn(chunk, col.get(), labels);
+    counts->scored += n;
+    return;
+  }
+  std::vector<double> window_eps(window.size());
+  ScoreRange(
+      window.size(), *model_, kMinParallelScan,
+      [&](size_t k) -> const ml::FeatureVector& {
+        return rows[window[k]].features;
+      },
+      window_eps.data());
+  for (size_t k = 0; k < window.size(); ++k) {
+    labels[window[k]] = static_cast<int8_t>(ml::SignOf(window_eps[k]));
+  }
+  counts->scored += window.size();
+  counts->by_bounds += n - window.size();
+}
+
+template <typename Fn>
+void EpochSnapshot::ForEachLabeledChunk(ScanCounts* counts, Fn fn) const {
+  ScanCounts local;
+  std::vector<int8_t> labels;
+  std::vector<std::pair<std::shared_ptr<const ml::LinearModel>, double>>
+      delta_cache;
+  for (const auto& chunk : store_->chunks()) {
+    labels.resize(chunk->rows.size());
+    LabelChunk(*chunk, labels.data(), &local, &delta_cache);
+    fn(*chunk, labels.data());
+  }
+  if (counts != nullptr) {
+    counts->scored += local.scored;
+    counts->by_bounds += local.by_bounds;
+  }
+}
+
+StatusOr<std::vector<int64_t>> EpochSnapshot::AllMembers(
+    int label, ScanCounts* counts) const {
+  std::vector<int64_t> out;
+  ForEachLabeledChunk(counts, [&](const EpochChunk& chunk, const int8_t* labels) {
+    for (size_t i = 0; i < chunk.rows.size(); ++i) {
+      if (labels[i] == label) out.push_back(chunk.rows[i].id);
+    }
+  });
   return out;
 }
 
-StatusOr<uint64_t> EpochSnapshot::AllMembersCount(int label) const {
+StatusOr<uint64_t> EpochSnapshot::AllMembersCount(int label,
+                                                  ScanCounts* counts) const {
   uint64_t n = 0;
-  std::vector<int8_t> labels;
-  for (const auto& chunk : store_->chunks()) {
-    const auto& rows = chunk->rows;
-    labels.resize(rows.size());
-    ClassifyRange(
-        rows.size(), model_, kMinParallelScan,
-        [&](size_t i) -> const ml::FeatureVector& { return rows[i].features; },
-        labels.data());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (labels[i] == label) ++n;
-    }
-  }
+  ForEachLabeledChunk(counts, [&](const EpochChunk& chunk, const int8_t* labels) {
+    for (size_t i = 0; i < chunk.rows.size(); ++i) n += labels[i] == label;
+  });
   return n;
+}
+
+std::vector<std::pair<int64_t, int8_t>> EpochSnapshot::LabeledEntities(
+    ScanCounts* counts) const {
+  std::vector<std::pair<int64_t, int8_t>> out;
+  out.reserve(store_->size());
+  ForEachLabeledChunk(counts, [&](const EpochChunk& chunk, const int8_t* labels) {
+    for (size_t i = 0; i < chunk.rows.size(); ++i) {
+      out.emplace_back(chunk.rows[i].id, labels[i]);
+    }
+  });
+  return out;
 }
 
 void EpochStoreBuilder::ReplaceAll(std::vector<Entity> all) {
@@ -159,10 +298,11 @@ void EpochManager::SetMetricLabels(const std::string& labels) {
 }
 
 std::shared_ptr<const EpochSnapshot> EpochManager::Publish(
-    ml::LinearModel model, std::shared_ptr<const EpochEntityStore> store) {
+    ml::LinearModel model, std::shared_ptr<const EpochEntityStore> store,
+    double holder_p) {
   MutexLock lock(mu_);
   auto snap = std::make_shared<const EpochSnapshot>(
-      next_epoch_++, std::move(model), std::move(store));
+      next_epoch_++, std::move(model), std::move(store), holder_p);
   ring_.push_back(snap);
   std::atomic_store_explicit(&latest_, snap, std::memory_order_release);
   if (published_gauge_ != nullptr) {

@@ -11,9 +11,9 @@
 //
 // Writers publish a new EpochSnapshot at batch boundaries (the natural Hazy
 // granularity — model and water state are per-epoch immutable). Readers pin
-// the latest published epoch, scan it through the core/scan_pipeline SIMD
-// strips, and unpin on completion; they never take the statement mutex.
-// Retired epochs are reclaimed once their pin count drains.
+// the latest published epoch, answer from it, and unpin on completion; they
+// never take the statement mutex. Retired epochs are reclaimed once their
+// pin count drains.
 //
 // Entity payloads are shared across epochs through sealed chunks: an
 // update-only batch publishes in O(d) (one model copy); a batch that
@@ -22,6 +22,23 @@
 // entity set — deliberate memory-for-concurrency trade (the on-disk
 // architectures' heap pages mutate in place and cannot be shared with
 // lock-free readers).
+//
+// All Members reads use the paper's water lines (§3.2, Lemma 3.1) instead
+// of rescoring every entity. Each sealed chunk lazily carries an eps column:
+// its rows' eps under a reference model (w_s, b_s), in row order, plus
+// M = max ‖f‖_q over its rows. A read under model (w, b) settles every row
+// whose stored eps lies outside the Hölder window
+//     [lw, hw) = ±M·‖w − w_s‖_p + (b − b_s)
+// (widened by a rounding slack), and scores only the rows inside it, so
+// labels stay exactly sign(w·f − b). A column built under the reader's own
+// model (the same shared model object) has an empty window. The first All
+// Members read of a chunk builds its column; later readers add their window
+// sizes to the column's accumulator and rebuild it under their own model
+// once that sum reaches the chunk's row count — Skiing (§3.3) with the
+// tuple-count cost model and α = 1. Columns are built only by readers, so
+// ingest and point reads pay nothing for them. The column is unsorted: in
+// memory one sequential 8-byte pass per row is cheaper than keeping an eps
+// order across merges (the paper clusters by eps to bound disk I/O).
 
 #ifndef HAZY_CORE_EPOCH_H_
 #define HAZY_CORE_EPOCH_H_
@@ -43,10 +60,34 @@
 
 namespace hazy::core {
 
+/// \brief A chunk's eps under one reference model, in row order, with what
+/// Lemma 3.1 needs to bound how far any row's eps has drifted since.
+/// Immutable once installed, except for the Skiing accumulator.
+struct EpsColumn {
+  std::shared_ptr<const ml::LinearModel> model;  ///< reference (w_s, b_s)
+  std::vector<double> eps;   ///< eps under `model`, one per chunk row
+  double max_norm_q = 0.0;   ///< M = max ‖f‖_q over the chunk's rows
+  double model_norm_p = 0.0; ///< ‖w_s‖_p (sizes the rounding slack)
+  uint32_t max_terms = 0;    ///< longest dot product in the chunk (ditto)
+  /// Rows scored inside windows since this column was built; a reader that
+  /// carries it past the chunk's row count rebuilds the column.
+  mutable std::atomic<uint64_t> window_rows{0};
+};
+
 /// \brief One sealed, immutable run of entities plus its id index.
 struct EpochChunk {
   std::vector<Entity> rows;
   std::unordered_map<int64_t, uint32_t> by_id;  // id -> index in rows
+  /// Lazily built by All Members readers and replaced on a Skiing rebuild;
+  /// accessed only through std::atomic_load/store, so the chunk stays
+  /// logically immutable and shareable across epochs.
+  mutable std::shared_ptr<const EpsColumn> eps_column;
+};
+
+/// Rows of one All Members read, split by how their label was obtained.
+struct ScanCounts {
+  uint64_t scored = 0;     ///< rescored under the snapshot's model
+  uint64_t by_bounds = 0;  ///< settled by the water lines from stored eps
 };
 
 /// Builds a chunk (and its index) from an entity run.
@@ -76,33 +117,63 @@ class EpochEntityStore {
 /// methods are const and safe for any number of concurrent readers.
 class EpochSnapshot {
  public:
+  /// `holder_p` is the view's Hölder exponent p; the eps columns bound drift
+  /// with ‖δw‖_p and M = max ‖f‖_q for its conjugate q.
   EpochSnapshot(uint64_t epoch, ml::LinearModel model,
-                std::shared_ptr<const EpochEntityStore> store)
-      : epoch_(epoch), model_(std::move(model)), store_(std::move(store)) {}
+                std::shared_ptr<const EpochEntityStore> store,
+                double holder_p = ml::kInf);
 
   uint64_t epoch() const { return epoch_; }
-  const ml::LinearModel& model() const { return model_; }
+  const ml::LinearModel& model() const { return *model_; }
   size_t num_entities() const { return store_->size(); }
   const EpochEntityStore& store() const { return *store_; }
 
   /// Label of one entity under this epoch's model (NotFound if absent).
   StatusOr<int> SingleEntityRead(int64_t id) const;
 
-  /// All entity ids labeled `label` (+1/-1), in store order. Scans the
-  /// chunks through the scan-pipeline SIMD strips.
-  StatusOr<std::vector<int64_t>> AllMembers(int label) const;
+  /// All entity ids labeled `label` (+1/-1), in store order. Adds the rows
+  /// scored and the rows settled by the water lines to *counts when set.
+  StatusOr<std::vector<int64_t>> AllMembers(int label,
+                                            ScanCounts* counts = nullptr) const;
 
   /// Count of entities labeled `label`.
-  StatusOr<uint64_t> AllMembersCount(int label) const;
+  StatusOr<uint64_t> AllMembersCount(int label,
+                                     ScanCounts* counts = nullptr) const;
+
+  /// Every entity as (id, label), in store order: both classes in one pass.
+  std::vector<std::pair<int64_t, int8_t>> LabeledEntities(
+      ScanCounts* counts = nullptr) const;
 
   uint64_t pins() const { return pins_.load(std::memory_order_relaxed); }
 
  private:
   friend class EpochManager;
 
+  /// Calls fn(chunk, labels) per chunk in store order, with labels[i] the
+  /// sign of chunk.rows[i] under this epoch's model.
+  template <typename Fn>
+  void ForEachLabeledChunk(ScanCounts* counts, Fn fn) const;
+
+  /// Labels one chunk from its eps column, scoring only the window rows
+  /// (building or rebuilding the column when it is missing or its Skiing
+  /// accumulator runs out). `delta_cache` memoizes ‖w − w_s‖_p per
+  /// reference model across the chunks of one read; it holds the models so
+  /// a freed one's address cannot be reused by another during the read.
+  void LabelChunk(const EpochChunk& chunk, int8_t* labels, ScanCounts* counts,
+                  std::vector<std::pair<std::shared_ptr<const ml::LinearModel>,
+                                        double>>* delta_cache) const;
+
+  /// Scores every row of `chunk`, installs the result as its eps column and
+  /// writes the labels. `prev` (may be null) donates M and max_terms.
+  void BuildColumn(const EpochChunk& chunk, const EpsColumn* prev,
+                   int8_t* labels) const;
+
   uint64_t epoch_;
-  ml::LinearModel model_;
+  /// Shared with the eps columns built under it: a column whose model is
+  /// this very object needs no bound at all.
+  std::shared_ptr<const ml::LinearModel> model_;
   std::shared_ptr<const EpochEntityStore> store_;
+  double holder_p_;
   mutable std::atomic<uint64_t> pins_{0};
 };
 
@@ -174,10 +245,11 @@ class EpochManager {
   /// the hazy_epoch_* instruments. Call before the first Publish.
   void SetMetricLabels(const std::string& labels);
 
-  /// Publishes the next epoch. Returns the published snapshot.
+  /// Publishes the next epoch (see EpochSnapshot for `holder_p`). Returns
+  /// the published snapshot.
   std::shared_ptr<const EpochSnapshot> Publish(
-      ml::LinearModel model, std::shared_ptr<const EpochEntityStore> store)
-      EXCLUDES(mu_);
+      ml::LinearModel model, std::shared_ptr<const EpochEntityStore> store,
+      double holder_p = ml::kInf) EXCLUDES(mu_);
 
   /// Pins the latest published epoch (empty pin when none published yet).
   SnapshotPin Pin();

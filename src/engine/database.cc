@@ -70,7 +70,11 @@ Status ManagedView::PublishEpoch() {
     store_builder_.ReplaceAll(std::move(ents));
     store_reset_pending_ = false;
   }
-  epochs_.Publish(view_->model(), store_builder_.Seal());
+  // Every view of a database shares view_defaults.holder_p (the per-view
+  // definition overrides only mode and loss).
+  epochs_.Publish(view_->model(), store_builder_.Seal(),
+                  db_ != nullptr ? db_->options().view_defaults.holder_p
+                                 : ml::kInf);
   epoch_publish_pending_ = false;
   return Status::OK();
 }

@@ -75,6 +75,8 @@ uint64_t RegisterViewStats(
                      s.window_tuples.load());
         out->Counter("hazy_view_tuples_scanned_total", labels,
                      s.tuples_scanned.load());
+        out->Counter("hazy_view_rows_by_bounds_total", labels,
+                     s.rows_by_bounds.load());
         out->Counter("hazy_view_label_flips_total", labels,
                      s.label_flips.load());
         out->Counter("hazy_view_single_reads_total", labels,

@@ -43,6 +43,8 @@ const char* SpanKindName(SpanKind k) {
       return "trigger.drain";
     case SpanKind::kLazyScan:
       return "view.lazy_scan";
+    case SpanKind::kSnapshotScan:
+      return "view.snapshot_scan";
     case SpanKind::kRelabelSweep:
       return "view.relabel_sweep";
     case SpanKind::kWindowStep:

@@ -40,6 +40,7 @@ enum class SpanKind : uint8_t {
   kExecute,         // statement body after parse
   kTriggerDrain,    // draining queued view maintenance triggers
   kLazyScan,        // lazy on-demand (re)scoring scan
+  kSnapshotScan,    // All Members over a pinned epoch (eps columns + window)
   kRelabelSweep,    // eager relabel sweep between water lines
   kWindowStep,      // per-batch incremental window step (classify/relabel rids)
   kWalAppend,       // WAL record append (buffered)

@@ -340,6 +340,12 @@ Status RejectReservedWrite(const std::string& name) {
   return Status::OK();
 }
 
+/// Rows a view read will emit from `n` candidates under the LIMIT, if any.
+size_t RowsToEmit(const SelectStmt& stmt, size_t n) {
+  if (!stmt.limit.has_value()) return n;
+  return std::min(n, static_cast<size_t>(*stmt.limit));
+}
+
 }  // namespace
 
 StatusOr<ResultSet> Executor::ExecCreateTable(const CreateTableStmt& stmt) {
@@ -474,6 +480,12 @@ StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
     }
     rs.rows.push_back(std::move(row));
   };
+  // tuples_scanned counts the rows actually rescored; the rest were
+  // settled from their chunk's eps column by the water lines.
+  auto record_counts = [&](const core::ScanCounts& c) {
+    vstats->tuples_scanned += c.scored;
+    vstats->rows_by_bounds += c.by_bounds;
+  };
 
   if (stmt.where.has_value() && EqualsIgnoreCase(stmt.where->column, key_col) &&
       stmt.where->op == CompareOp::kEq) {
@@ -503,16 +515,20 @@ StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
     }
     const std::string& label = std::get<std::string>(stmt.where->value);
     HAZY_ASSIGN_OR_RETURN(int member_sign, view->LabelSign(label));
-    obs::TraceScope scan_span(obs::SpanKind::kLazyScan);
+    obs::TraceScope scan_span(obs::SpanKind::kSnapshotScan);
     ++vstats->all_members_queries;
-    vstats->tuples_scanned += snap.num_entities();
+    core::ScanCounts counts;
     if (stmt.count_star) {
-      HAZY_ASSIGN_OR_RETURN(uint64_t n, snap.AllMembersCount(member_sign));
+      HAZY_ASSIGN_OR_RETURN(uint64_t n, snap.AllMembersCount(member_sign, &counts));
+      record_counts(counts);
       rs.columns = {{"count", storage::ColumnType::kInt64}};
       rs.rows.push_back(Row{static_cast<int64_t>(n)});
       return rs;
     }
-    HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids, snap.AllMembers(member_sign));
+    HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids,
+                          snap.AllMembers(member_sign, &counts));
+    record_counts(counts);
+    rs.rows.reserve(RowsToEmit(stmt, ids.size()));
     for (int64_t id : ids) {
       emit(id, label);
       if (stmt.limit.has_value() &&
@@ -521,23 +537,21 @@ StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
       }
     }
   } else if (!stmt.where.has_value()) {
-    // Full view scan: both classes.
-    obs::TraceScope scan_span(obs::SpanKind::kLazyScan);
-    std::vector<std::pair<int64_t, std::string>> all;
-    for (int sign : {1, -1}) {
-      ++vstats->all_members_queries;
-      vstats->tuples_scanned += snap.num_entities();
-      HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids, snap.AllMembers(sign));
-      for (int64_t id : ids) all.emplace_back(id, view->LabelString(sign));
-    }
+    // Full view scan: both classes from one labeling pass.
+    obs::TraceScope scan_span(obs::SpanKind::kSnapshotScan);
+    ++vstats->all_members_queries;
+    core::ScanCounts counts;
+    std::vector<std::pair<int64_t, int8_t>> all = snap.LabeledEntities(&counts);
+    record_counts(counts);
     std::sort(all.begin(), all.end());
     if (stmt.count_star) {
       rs.columns = {{"count", storage::ColumnType::kInt64}};
       rs.rows.push_back(Row{static_cast<int64_t>(all.size())});
       return rs;
     }
-    for (const auto& [id, label] : all) {
-      emit(id, label);
+    rs.rows.reserve(RowsToEmit(stmt, all.size()));
+    for (const auto& [id, sign] : all) {
+      emit(id, view->LabelString(sign));
       if (stmt.limit.has_value() &&
           rs.rows.size() >= static_cast<size_t>(*stmt.limit)) {
         break;
@@ -622,6 +636,7 @@ StatusOr<ResultSet> Executor::ExecSelectViewGated(const SelectStmt& stmt,
       return rs;
     }
     HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids, view->MembersOf(label));
+    rs.rows.reserve(RowsToEmit(stmt, ids.size()));
     for (int64_t id : ids) {
       emit(id, label);
       if (stmt.limit.has_value() &&
@@ -631,11 +646,11 @@ StatusOr<ResultSet> Executor::ExecSelectViewGated(const SelectStmt& stmt,
     }
   } else if (!stmt.where.has_value()) {
     // Full view scan: both classes.
-    std::vector<std::pair<int64_t, std::string>> all;
+    std::vector<std::pair<int64_t, int8_t>> all;
     for (int sign : {1, -1}) {
       HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids,
                             view->view()->AllMembers(sign));
-      for (int64_t id : ids) all.emplace_back(id, view->LabelString(sign));
+      for (int64_t id : ids) all.emplace_back(id, static_cast<int8_t>(sign));
     }
     std::sort(all.begin(), all.end());
     if (stmt.count_star) {
@@ -643,8 +658,9 @@ StatusOr<ResultSet> Executor::ExecSelectViewGated(const SelectStmt& stmt,
       rs.rows.push_back(Row{static_cast<int64_t>(all.size())});
       return rs;
     }
-    for (const auto& [id, label] : all) {
-      emit(id, label);
+    rs.rows.reserve(RowsToEmit(stmt, all.size()));
+    for (const auto& [id, sign] : all) {
+      emit(id, view->LabelString(sign));
       if (stmt.limit.has_value() &&
           rs.rows.size() >= static_cast<size_t>(*stmt.limit)) {
         break;

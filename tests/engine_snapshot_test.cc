@@ -146,6 +146,94 @@ TEST_P(EngineSnapshotTest, SnapshotAnswersMatchLiveViewAtBatchBoundary) {
   }
 }
 
+// Members and counts of a snapshot SQL read, compared with the live view's
+// engine API after each of a run of interleaved batches. The batches add
+// entities (new store chunks, tail merges) and examples (model drift), so the
+// reads label rows from eps columns built under earlier epochs' models,
+// rebuild them, and build columns for fresh chunks.
+TEST_P(EngineSnapshotTest, SnapshotMatchesLiveViewAcrossInterleavedBatches) {
+  ManagedView* view = MustCreateView();
+  ASSERT_NE(view, nullptr);
+  auto papers = db_->catalog()->GetTable("Papers");
+  ASSERT_TRUE(papers.ok());
+  ASSERT_TRUE(examples_->Insert(storage::Row{int64_t{0}, std::string("DB")}).ok());
+  ASSERT_TRUE(view->HasSnapshot());
+
+  auto ids_of = [&](const sql::ResultSet& rs) {
+    std::set<int64_t> ids;
+    for (size_t i = 0; i < rs.rows.size(); ++i) {
+      auto id = rs.Int64At(i, 0);
+      EXPECT_TRUE(id.ok());
+      if (id.ok()) ids.insert(*id);
+    }
+    return ids;
+  };
+  auto check_boundary = [&](int round) {
+    std::set<int64_t> all_ids;
+    for (const char* label : {"DB", "OTHER"}) {
+      // Twice: the second read finds a column built under this epoch.
+      for (int pass = 0; pass < 2; ++pass) {
+        const std::string where =
+            std::string(" FROM Labeled_Papers WHERE class = '") + label + "'";
+        const std::set<int64_t> sql_ids = ids_of(MustExec("SELECT id" + where));
+        auto count = MustExec("SELECT COUNT(*)" + where);
+        auto api_ids = view->MembersOf(label);
+        auto api_count = view->CountOf(label);
+        ASSERT_TRUE(api_ids.ok() && api_count.ok());
+        EXPECT_EQ(sql_ids, std::set<int64_t>(api_ids->begin(), api_ids->end()))
+            << label << " round " << round;
+        ASSERT_EQ(count.rows.size(), 1u);
+        auto n = count.Int64At(0, 0);
+        ASSERT_TRUE(n.ok());
+        EXPECT_EQ(static_cast<uint64_t>(*n), *api_count)
+            << label << " round " << round;
+        if (pass == 0) all_ids.insert(sql_ids.begin(), sql_ids.end());
+      }
+    }
+    // The full scan labels both classes in one pass.
+    auto full = MustExec("SELECT * FROM Labeled_Papers");
+    EXPECT_EQ(ids_of(full), all_ids) << "round " << round;
+    for (size_t i = 0; i < full.rows.size(); ++i) {
+      auto id = full.Int64At(i, 0);
+      auto label = full.TextAt(i, 1);
+      ASSERT_TRUE(id.ok() && label.ok());
+      auto live = view->LabelOf(*id);
+      ASSERT_TRUE(live.ok());
+      EXPECT_EQ(*label, *live) << "paper " << *id << " round " << round;
+    }
+  };
+
+  check_boundary(0);
+  int64_t next_paper = kTestCorpusSize;
+  for (int round = 1; round <= 6; ++round) {
+    db_->BeginUpdateBatch();
+    for (int k = 0; k < 3; ++k, ++next_paper) {
+      const bool db_paper = (next_paper + round) % 2 == 0;
+      ASSERT_TRUE((*papers)
+                      ->Insert(storage::Row{
+                          next_paper,
+                          std::string(db_paper
+                                          ? "sql query transactions database"
+                                          : "protein membranes molecular biology")})
+                      .ok());
+      if (k == 0) {
+        ASSERT_TRUE(examples_
+                        ->Insert(storage::Row{
+                            next_paper, std::string(db_paper ? "DB" : "OTHER")})
+                        .ok());
+      }
+    }
+    if (round < kTestCorpusSize) {
+      ASSERT_TRUE(examples_
+                      ->Insert(storage::Row{int64_t{round},
+                                            std::string(TestCorpusLabel(round))})
+                      .ok());
+    }
+    ASSERT_TRUE(db_->EndUpdateBatch().ok());
+    check_boundary(round);
+  }
+}
+
 // MVCC semantics: while an update batch is open, snapshot readers keep
 // answering from the last published epoch — the batch's queued model updates
 // are invisible until EndUpdateBatch publishes, and the whole batch becomes

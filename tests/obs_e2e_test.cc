@@ -154,7 +154,8 @@ INSTANTIATE_TEST_SUITE_P(Architectures, ObsMetricsMoveTest,
 TEST_F(ObsEndToEndTest, ExplainTraceShowsSpanTree) {
   SetUpCorpus("HAZY_OD");
   MustExec("CHECKPOINT");
-  // A new example dirties the model so the next AllMembers lazily rescans.
+  // A new example publishes a new epoch, so the scan below labels the
+  // snapshot under a model its eps columns were not built with.
   MustExec("INSERT INTO Papers VALUES (6, 'database query planner design')");
   MustExec("INSERT INTO Examples VALUES (6, 'DB')");
 
@@ -176,7 +177,7 @@ TEST_F(ObsEndToEndTest, ExplainTraceShowsSpanTree) {
     }
     if (*span == "parse") parse_ms = *ms;
     if (*span == "execute") execute_ms = *ms;
-    if (*span == "view.lazy_scan") saw_scan = true;
+    if (*span == "view.snapshot_scan") saw_scan = true;
     // No span can exceed the root's wall clock.
     if (root_ms >= 0) {
       EXPECT_LE(*ms, root_ms + 1e-6) << *span;
