@@ -17,7 +17,8 @@
 //               the writer keeps ingesting. Each epoch moves the model, so
 //               the reads label rows from eps columns built under earlier
 //               epochs; rows scored vs. rows settled by the water lines per
-//               scan show how narrow the Hölder window stays under drift.
+//               scan show how narrow the Hölder window stays under drift,
+//               and the per-scan p50/p99 latency what that saves.
 //   reclaim:    a pin is held across a publication and released, proving a
 //               retired epoch reclaims (and moving the
 //               hazy_epoch_reclaimed_total counter for the dead-metric
@@ -28,8 +29,6 @@
 //   HAZY_MIXED_ENTITIES  corpus size                  (default 2000)
 //   HAZY_MIXED_READERS   reader threads               (default 4)
 //   HAZY_MIXED_READS     reads per phase (aggregate)  (default 40000)
-//   HAZY_MIXED_SCANS     All Members reads in the members phase
-//                        (default 200)
 
 #include <algorithm>
 #include <atomic>
@@ -49,6 +48,9 @@
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// All Members reads in the members phase.
+constexpr size_t kScans = 200;
 
 size_t EnvSize(const char* name, size_t fallback) {
   const char* v = std::getenv(name);
@@ -146,7 +148,6 @@ int main(int argc, char** argv) {
   const size_t entities = EnvSize("HAZY_MIXED_ENTITIES", 2000);
   const size_t readers = EnvSize("HAZY_MIXED_READERS", 4);
   const size_t reads = EnvSize("HAZY_MIXED_READS", 40000);
-  const size_t scans = EnvSize("HAZY_MIXED_SCANS", 200);
 
   hazy::engine::Database db;
   if (!db.Open().ok()) {
@@ -241,12 +242,18 @@ int main(int argc, char** argv) {
   const uint64_t queries_before = vstats.all_members_queries;
   stop_writer.store(false);
   writer = std::thread(ingest);
+  std::vector<double> scan_us;
+  scan_us.reserve(kScans);
   {
     hazy::sql::Executor rexec(&db);
-    for (size_t i = 0; i < scans; ++i) {
+    for (size_t i = 0; i < kScans; ++i) {
+      const auto t0 = Clock::now();
       auto rs = rexec.Execute(i % 2 == 0
                                   ? "SELECT id FROM V WHERE class = 'DB'"
                                   : "SELECT id FROM V WHERE class = 'OTHER'");
+      scan_us.push_back(
+          std::chrono::duration<double, std::micro>(Clock::now() - t0)
+              .count());
       if (!rs.ok() || rs->rows.empty()) {
         std::fprintf(stderr, "members read failed\n");
         stop_writer.store(true);
@@ -268,6 +275,8 @@ int main(int argc, char** argv) {
           ? static_cast<double>(vstats.rows_by_bounds - bounds_before) /
                 static_cast<double>(member_scans)
           : 0;
+  const double scan_p50_us = Percentile(&scan_us, 0.50);
+  const double scan_p99_us = Percentile(&scan_us, 0.99);
 
   // --- Phase 4: deterministic epoch retire + reclaim. ----------------------
   {
@@ -306,9 +315,9 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(live));
   std::printf(
       "All Members under ingest: %.1f rows scored, %.1f settled by the water "
-      "lines per scan (%llu scans)\n",
+      "lines per scan (%llu scans, p50 %.1f us, p99 %.1f us)\n",
       scored_per_scan, by_bounds_per_scan,
-      static_cast<unsigned long long>(member_scans));
+      static_cast<unsigned long long>(member_scans), scan_p50_us, scan_p99_us);
 
   hazy::bench::ReportMetric("micro_mixed_rw", "baseline_read_qps",
                             baseline.qps, "req/s");
@@ -329,6 +338,8 @@ int main(int argc, char** argv) {
                             scored_per_scan, "rows");
   hazy::bench::ReportMetric("micro_mixed_rw", "rows_by_bounds_per_scan",
                             by_bounds_per_scan, "rows");
+  hazy::bench::ReportMetric("micro_mixed_rw", "scan_p50", scan_p50_us, "us");
+  hazy::bench::ReportMetric("micro_mixed_rw", "scan_p99", scan_p99_us, "us");
   hazy::bench::ReportMetric("micro_mixed_rw", "epochs_reclaimed",
                             static_cast<double>(reclaimed), "count");
   return hazy::bench::FlushBenchReport();

@@ -128,13 +128,19 @@ void EpochSnapshot::LabelChunk(
     if (m == col->model) delta = d;
   }
   if (delta < 0.0) {
-    delta = ml::LinearModel::DeltaNorm(*model_, ref, holder_p_);
+    // For finite p, DeltaNorm sums over all d weights, so it can come out
+    // up to ~(d + 4) ulps low; round it up by that much so M·δ stays an
+    // upper bound however sparse the rows are.
+    const double d = static_cast<double>(
+        std::max(model_->w.size(), ref.w.size()));
+    delta = ml::LinearModel::DeltaNorm(*model_, ref, holder_p_) *
+            (1.0 + (d + 4.0) * std::numeric_limits<double>::epsilon());
     delta_cache->emplace_back(col->model, delta);
   }
   // Lemma 3.1: |eps(w) − eps(w_s) + db| <= M·‖δw‖_p for every row, so a
   // stored eps at or above hw stays >= 0 and one below lw stays < 0. The
   // slack covers the rounding of both dot products (each off by at most
-  // ~terms·ulp·(‖w‖_p·M + |b|)) and of the bound itself.
+  // ~terms·ulp·(‖w‖_p·M + |b|)) and of M·δ itself.
   const double m = col->max_norm_q;
   const double reach = m * delta;
   const double db = model_->b - ref.b;

@@ -118,10 +118,11 @@ class EpochEntityStore {
 class EpochSnapshot {
  public:
   /// `holder_p` is the view's Hölder exponent p; the eps columns bound drift
-  /// with ‖δw‖_p and M = max ‖f‖_q for its conjugate q.
+  /// with ‖δw‖_p and M = max ‖f‖_q for its conjugate q, so every snapshot
+  /// over the same chunks must pass the same p.
   EpochSnapshot(uint64_t epoch, ml::LinearModel model,
                 std::shared_ptr<const EpochEntityStore> store,
-                double holder_p = ml::kInf);
+                double holder_p);
 
   uint64_t epoch() const { return epoch_; }
   const ml::LinearModel& model() const { return *model_; }
@@ -249,7 +250,7 @@ class EpochManager {
   /// the published snapshot.
   std::shared_ptr<const EpochSnapshot> Publish(
       ml::LinearModel model, std::shared_ptr<const EpochEntityStore> store,
-      double holder_p = ml::kInf) EXCLUDES(mu_);
+      double holder_p) EXCLUDES(mu_);
 
   /// Pins the latest published epoch (empty pin when none published yet).
   SnapshotPin Pin();

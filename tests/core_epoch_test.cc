@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -56,7 +57,7 @@ TEST(EpochSnapshotTest, AnswersMatchHandModel) {
       {Ent(1, 2.0), Ent(2, 5.0), Ent(3, 7.0), Ent(4, 4.0), Ent(5, 8.0)});
   auto store = std::make_shared<const EpochEntityStore>(
       std::vector<std::shared_ptr<const EpochChunk>>{chunk});
-  EpochSnapshot snap(/*epoch=*/1, Threshold5(), store);
+  EpochSnapshot snap(/*epoch=*/1, Threshold5(), store, ml::kInf);
 
   EXPECT_EQ(snap.num_entities(), 5u);
   // sign(2-5) = -1; sign(5-5) = sign(0) = +1 (paper convention); sign(7-5)=+1.
@@ -192,6 +193,53 @@ TEST_P(EpsColumnDriftTest, ColumnAnswersEqualFullRescoring) {
   }
 }
 
+// Real-valued (non-dyadic) sparse rows in a weight space far wider than any
+// row, so every dot product and every ‖δw‖_p rounds, and drift steps down
+// to the scale of that rounding.
+TEST_P(EpsColumnDriftTest, SparseRealRowsInWideSpace) {
+  const double holder_p = GetParam();
+  std::mt19937_64 rng(13);
+  constexpr uint32_t kDim = 4096;
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  std::uniform_int_distribution<uint32_t> dim(0, kDim - 1);
+  std::uniform_int_distribution<int> nnz(1, 4);
+  std::vector<Entity> rows;
+  for (int64_t id = 0; id < 800; ++id) {
+    std::vector<uint32_t> idx;
+    for (int k = nnz(rng); k > 0; --k) idx.push_back(dim(rng));
+    std::sort(idx.begin(), idx.end());
+    idx.erase(std::unique(idx.begin(), idx.end()), idx.end());
+    std::vector<double> vals;
+    for (size_t k = 0; k < idx.size(); ++k) vals.push_back(unit(rng));
+    Entity e;
+    e.id = id;
+    e.features = ml::FeatureVector::Sparse(std::move(idx), std::move(vals), kDim);
+    rows.push_back(std::move(e));
+  }
+  auto store = StoreOf(rows);
+  std::uniform_int_distribution<size_t> pick(0, rows.size() - 1);
+  std::uniform_int_distribution<int> kind(0, 4);
+  const double kScales[] = {1e-3, 1e-9, 1e-14};
+
+  ml::LinearModel model;
+  for (uint32_t j = 0; j < kDim; ++j) model.w.push_back(unit(rng));
+  model.b = unit(rng) / 3.0;
+  for (uint64_t epoch = 1; epoch <= 40; ++epoch) {
+    const int k = kind(rng);
+    if (k == 0) {
+      // δ = 0: the same model values in a new epoch
+    } else if (k == 1) {
+      model.b = rows[pick(rng)].features.Dot(model.w);  // one row at eps 0
+    } else {
+      const double scale = kScales[k - 2];
+      for (double& w : model.w) w += scale * unit(rng);
+      model.b += scale * unit(rng);
+    }
+    EpochSnapshot snap(epoch, model, store, holder_p);
+    ExpectMatchesRescoring(snap);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(HolderNorms, EpsColumnDriftTest,
                          ::testing::Values(ml::kInf, 2.0, 1.0));
 
@@ -200,9 +248,9 @@ TEST(EpsColumnTest, ZeroEpsRowsKeepPositiveLabelUnderZeroDrift) {
   auto store = StoreOf({Ent(1, 5.0), Ent(2, std::nextafter(5.0, 10.0)),
                         Ent(3, std::nextafter(5.0, 0.0)), Ent(4, 9.0),
                         Ent(5, 1.0)});
-  EpochSnapshot first(1, Threshold5(), store);
+  EpochSnapshot first(1, Threshold5(), store, ml::kInf);
   ExpectMatchesRescoring(first);
-  EpochSnapshot same(2, Threshold5(), store);  // δ = 0, db = 0
+  EpochSnapshot same(2, Threshold5(), store, ml::kInf);  // δ = 0, db = 0
   ScanCounts counts;
   auto pos = same.AllMembers(+1, &counts);
   ASSERT_TRUE(pos.ok());
@@ -227,7 +275,7 @@ TEST(EpsColumnTest, RebuildsExactlyWhenWindowsReachChunkRows) {
   m1.w = {1.05};
   m1.b = 50.5;
 
-  EpochSnapshot s0(1, m0, store);
+  EpochSnapshot s0(1, m0, store, ml::kInf);
   ScanCounts c0;
   ASSERT_TRUE(s0.AllMembersCount(+1, &c0).ok());
   EXPECT_EQ(c0.scored, 100u);  // the first read builds the column
@@ -235,7 +283,7 @@ TEST(EpsColumnTest, RebuildsExactlyWhenWindowsReachChunkRows) {
   ASSERT_NE(built, nullptr);
   EXPECT_EQ(built->model.get(), &s0.model());
 
-  EpochSnapshot s1(2, m1, store);
+  EpochSnapshot s1(2, m1, store, ml::kInf);
   for (int read = 1; read <= 9; ++read) {
     ScanCounts c;
     ASSERT_TRUE(s1.AllMembersCount(+1, &c).ok());
@@ -268,7 +316,7 @@ TEST(EpsColumnTest, UpdateOnlyEpochsReuseColumnNewChunksBuildTheirOwn) {
   builder.ReplaceAll(std::move(bulk));
   ml::LinearModel m = Threshold5();
 
-  auto s1 = std::make_shared<EpochSnapshot>(1, m, builder.Seal());
+  auto s1 = std::make_shared<EpochSnapshot>(1, m, builder.Seal(), ml::kInf);
   ExpectMatchesRescoring(*s1);
   const auto head = s1->store().chunks()[0];
   const auto head_col = ColumnOf(*head);
@@ -276,7 +324,7 @@ TEST(EpsColumnTest, UpdateOnlyEpochsReuseColumnNewChunksBuildTheirOwn) {
 
   // An update-only batch: new model, same store and chunk.
   m.b = 5.001;
-  auto s2 = std::make_shared<EpochSnapshot>(2, m, builder.Seal());
+  auto s2 = std::make_shared<EpochSnapshot>(2, m, builder.Seal(), ml::kInf);
   ASSERT_EQ(&s2->store(), &s1->store());
   ScanCounts c2;
   ASSERT_TRUE(s2->AllMembersCount(+1, &c2).ok());
@@ -286,7 +334,7 @@ TEST(EpsColumnTest, UpdateOnlyEpochsReuseColumnNewChunksBuildTheirOwn) {
 
   // An appended batch seals a chunk of its own; the head keeps its column.
   for (int i = 1000; i < 1010; ++i) builder.Append(Ent(i, 4.0 + (i % 3)));
-  auto s3 = std::make_shared<EpochSnapshot>(3, m, builder.Seal());
+  auto s3 = std::make_shared<EpochSnapshot>(3, m, builder.Seal(), ml::kInf);
   ASSERT_EQ(s3->store().chunks().size(), 2u);
   const auto tail = s3->store().chunks()[1];
   EXPECT_EQ(s3->store().chunks()[0], head);
@@ -302,7 +350,7 @@ TEST(EpsColumnTest, UpdateOnlyEpochsReuseColumnNewChunksBuildTheirOwn) {
   // A second equal-sized append merges the tail into a fresh chunk, which
   // starts without a column and builds its own on the next read.
   for (int i = 1010; i < 1020; ++i) builder.Append(Ent(i, 6.0));
-  auto s4 = std::make_shared<EpochSnapshot>(4, m, builder.Seal());
+  auto s4 = std::make_shared<EpochSnapshot>(4, m, builder.Seal(), ml::kInf);
   ASSERT_EQ(s4->store().chunks().size(), 2u);
   const auto merged = s4->store().chunks()[1];
   EXPECT_NE(merged, tail);
@@ -326,7 +374,7 @@ TEST(EpsColumnTest, ConcurrentReadersRaceRebuilds) {
   for (uint64_t e = 1; e <= 8; ++e) {
     for (double& w : m.w) w += step(rng) / 16.0;
     m.b = step(rng) / 8.0;
-    snaps.push_back(std::make_shared<const EpochSnapshot>(e, m, store));
+    snaps.push_back(std::make_shared<const EpochSnapshot>(e, m, store, ml::kInf));
   }
   std::vector<std::vector<std::pair<int64_t, int8_t>>> want;
   for (const auto& s : snaps) want.push_back(Rescored(*s));
@@ -431,7 +479,7 @@ TEST(EpochManagerTest, PinnedEpochSurvivesUntilLastUnpin) {
   EpochManager mgr;
   EpochStoreBuilder builder;
   builder.Append(Ent(1, 1.0));
-  mgr.Publish(Threshold5(), builder.Seal());
+  mgr.Publish(Threshold5(), builder.Seal(), ml::kInf);
   ASSERT_TRUE(mgr.HasPublished());
   EXPECT_EQ(mgr.latest_epoch(), 1u);
 
@@ -443,8 +491,8 @@ TEST(EpochManagerTest, PinnedEpochSurvivesUntilLastUnpin) {
 
   // Retire epoch 1 twice over; both pins still hold it live.
   builder.Append(Ent(2, 6.0));
-  mgr.Publish(Threshold5(), builder.Seal());
-  mgr.Publish(Threshold5(), builder.Seal());
+  mgr.Publish(Threshold5(), builder.Seal(), ml::kInf);
+  mgr.Publish(Threshold5(), builder.Seal(), ml::kInf);
   EXPECT_EQ(mgr.latest_epoch(), 3u);
   EXPECT_TRUE(mgr.IsLive(1));
   // Epoch 2 had no pins: retired-and-unpinned epochs reclaim eagerly.
@@ -467,13 +515,13 @@ TEST(EpochManagerTest, MovedFromPinDoesNotDoubleUnpin) {
   EpochManager mgr;
   EpochStoreBuilder builder;
   builder.Append(Ent(1, 1.0));
-  mgr.Publish(Threshold5(), builder.Seal());
+  mgr.Publish(Threshold5(), builder.Seal(), ml::kInf);
 
   SnapshotPin a = mgr.Pin();
   SnapshotPin b = std::move(a);
   EXPECT_FALSE(a);  // NOLINT(bugprone-use-after-move): moved-from is empty
   ASSERT_TRUE(b);
-  mgr.Publish(Threshold5(), builder.Seal());
+  mgr.Publish(Threshold5(), builder.Seal(), ml::kInf);
   a.Release();  // releasing the hollow pin must be a no-op
   EXPECT_TRUE(mgr.IsLive(1));
   b.Release();

@@ -34,7 +34,7 @@ ml::LinearModel TinyModel() {
 TEST(SnapshotPinMisuseTest, DoubleReleaseIsIdempotent) {
   EpochManager mgr;
   EpochStoreBuilder builder;
-  mgr.Publish(TinyModel(), builder.Seal());
+  mgr.Publish(TinyModel(), builder.Seal(), ml::kInf);
 
   SnapshotPin pin = mgr.Pin();
   ASSERT_TRUE(pin);
@@ -49,10 +49,10 @@ TEST(SnapshotPinMisuseTest, DoubleReleaseIsIdempotent) {
 TEST(SnapshotPinMisuseTest, MoveAssignOverLivePinReleasesTheOldOne) {
   EpochManager mgr;
   EpochStoreBuilder builder;
-  auto first = mgr.Publish(TinyModel(), builder.Seal());
+  auto first = mgr.Publish(TinyModel(), builder.Seal(), ml::kInf);
 
   SnapshotPin a = mgr.Pin();  // pins epoch 1
-  mgr.Publish(TinyModel(), builder.Seal());
+  mgr.Publish(TinyModel(), builder.Seal(), ml::kInf);
   SnapshotPin b = mgr.Pin();  // pins epoch 2
   ASSERT_EQ(a->epoch(), 1u);
   ASSERT_EQ(b->epoch(), 2u);
@@ -68,7 +68,7 @@ TEST(SnapshotPinMisuseTest, MoveAssignOverLivePinReleasesTheOldOne) {
 TEST(SnapshotPinMisuseTest, DestructorOfMovedFromPinDoesNotUnpin) {
   EpochManager mgr;
   EpochStoreBuilder builder;
-  mgr.Publish(TinyModel(), builder.Seal());
+  mgr.Publish(TinyModel(), builder.Seal(), ml::kInf);
 
   SnapshotPin outer = mgr.Pin();
   {
