@@ -6,10 +6,8 @@
 // over a dense Forest-like corpus and a sparse DBLife-like corpus, for all
 // five architectures.
 //
-// Compare a default build against -DHAZY_SCALAR_ONLY=ON (the pre-pipeline
-// read path: sequential scans, per-tuple materializing decode, scalar
-// kernels) to get the before/after. The "kernel" metric records which
-// dispatch the binary is running.
+// The "kernel" metric records which dispatch the binary is running
+// (-DHAZY_SIMD=OFF builds the scalar kernels only).
 //
 //   HAZY_BENCH_SCALE   corpus scale      (default 0.01)
 //   HAZY_BENCH_WARM    warm-up examples  (default 12000)
@@ -137,11 +135,6 @@ int main(int argc, char** argv) {
     table.Print();
     std::printf("\n");
   }
-  std::printf(
-      "Build with -DHAZY_SCALAR_ONLY=ON for the pre-pipeline baseline;\n"
-      "the default build's lazy rows/s over the naive architectures is the\n"
-      "PR-3 acceptance ratio (>= 3x the baseline).\n");
-
   // -- Observability overhead: the same lazy scan with a TraceContext
   // installed vs not. With no trace, every probe is a thread-local load;
   // with one, span opens, event timers, and registry histograms are all

@@ -15,7 +15,9 @@
 // Batched view maintenance: a multi-row INSERT applies all its training
 // examples to each classification view as one UpdateBatch automatically.
 // '\batch on' holds the whole session in batched-trigger mode (updates
-// queue; reads flush), '\batch off' flushes and leaves it.
+// queue; SELECTs keep answering from the last published epoch, so they do
+// not see the queued examples), '\batch off' flushes the queue and
+// publishes it.
 //
 // Remote serving: '\connect <host>:<port>' points the shell at a running
 // hazy_server — statements travel as wire-protocol frames and results come

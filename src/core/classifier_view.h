@@ -160,13 +160,8 @@ class ClassificationView {
   /// deterministic order. This is the epoch-snapshot seeding path
   /// (core/epoch.h): after a bulk load, restore, or retrain-from-scratch
   /// the engine re-exports the entity set into the immutable snapshot
-  /// store. Architectures that cannot expose a linear-model-scorable entity
-  /// set (e.g. kernelized views) return NotSupported; their reads stay on
-  /// the gated path.
-  virtual Status ExportEntities(std::vector<Entity>* out) const {
-    (void)out;
-    return Status::NotSupported("view does not export its entity set");
-  }
+  /// store, which answers every SQL read of the view.
+  virtual Status ExportEntities(std::vector<Entity>* out) const = 0;
 
   /// Approximate resident main-memory footprint in bytes.
   virtual size_t MemoryBytes() const = 0;

@@ -5,47 +5,17 @@
 namespace hazy::core {
 
 size_t HeapScanChunks(const storage::HeapFile& heap) {
-#ifdef HAZY_SCALAR_ONLY
-  (void)heap;
-  return 1;
-#else
   // Clamp workers so their pinned working sets (pin budget + live cursor
   // each) fit comfortably inside the pool.
   size_t by_pages = ParallelChunkCount(heap.num_data_pages(), kMinParallelPages);
   size_t by_capacity = std::max<size_t>(1, heap.buffer_pool()->capacity() / 8);
   return std::min(by_pages, by_capacity);
-#endif
 }
 
 StatusOr<uint64_t> RelabelHeapScan(storage::HeapFile* heap,
                                    const ml::LinearModel& model,
                                    uint64_t* rows_scanned) {
   obs::TraceScope sweep_span(obs::SpanKind::kRelabelSweep);
-#ifdef HAZY_SCALAR_ONLY
-  // Pre-pipeline baseline: sequential scan + per-record Patch round trips.
-  uint64_t flips = 0;
-  uint64_t rows = 0;
-  Status inner;
-  HAZY_RETURN_NOT_OK(heap->Scan([&](storage::Rid rid, std::string_view bytes) {
-    auto rec = DecodeEntityRecord(bytes);
-    if (!rec.ok()) {
-      inner = rec.status();
-      return false;
-    }
-    ++rows;
-    int label = model.Classify(rec->features);
-    if (label != rec->label) {
-      ++flips;
-      inner = heap->Patch(
-          rid, [&](char* head, size_t size) { PatchLabel(head, size, label); });
-      if (!inner.ok()) return false;
-    }
-    return true;
-  }));
-  HAZY_RETURN_NOT_OK(inner);
-  if (rows_scanned != nullptr) *rows_scanned += rows;
-  return flips;
-#else
   HAZY_RETURN_NOT_OK(heap->EnsurePageIds());
   const std::vector<uint32_t>& pages = heap->PageIds();
   const size_t nchunks = HeapScanChunks(*heap);
@@ -151,7 +121,6 @@ StatusOr<uint64_t> RelabelHeapScan(storage::HeapFile* heap,
   }
   if (rows_scanned != nullptr) *rows_scanned += total_rows;
   return total_flips;
-#endif
 }
 
 Status ClassifyRids(const storage::HeapFile& heap, const ml::LinearModel& model,
@@ -159,15 +128,6 @@ Status ClassifyRids(const storage::HeapFile& heap, const ml::LinearModel& model,
                     std::vector<int8_t>* labels) {
   obs::TraceScope window_span(obs::SpanKind::kWindowStep);
   labels->resize(rids.size());
-#ifdef HAZY_SCALAR_ONLY
-  std::string buf;
-  for (size_t i = 0; i < rids.size(); ++i) {
-    HAZY_RETURN_NOT_OK(heap.Get(rids[i].second, &buf));
-    HAZY_ASSIGN_OR_RETURN(EntityRecord rec, DecodeEntityRecord(buf));
-    (*labels)[i] = static_cast<int8_t>(model.Classify(rec.features));
-  }
-  return Status::OK();
-#else
   // Each worker pins at most one data page plus a transient overflow
   // fetch; capacity/4 leaves headroom for pins the caller still holds
   // (e.g. the B+-tree leaf of the iterator that produced the window).
@@ -197,28 +157,11 @@ Status ClassifyRids(const storage::HeapFile& heap, const ml::LinearModel& model,
     HAZY_RETURN_NOT_OK(s);
   }
   return Status::OK();
-#endif
 }
 
 StatusOr<uint64_t> RelabelRids(storage::HeapFile* heap, const ml::LinearModel& model,
                                const std::vector<std::pair<int64_t, storage::Rid>>& rids) {
   obs::TraceScope window_span(obs::SpanKind::kWindowStep);
-#ifdef HAZY_SCALAR_ONLY
-  uint64_t flips = 0;
-  std::string buf;
-  for (const auto& [id, rid] : rids) {
-    (void)id;
-    HAZY_RETURN_NOT_OK(heap->Get(rid, &buf));
-    HAZY_ASSIGN_OR_RETURN(EntityRecord rec, DecodeEntityRecord(buf));
-    int label = model.Classify(rec.features);
-    if (label != rec.label) {
-      ++flips;
-      HAZY_RETURN_NOT_OK(heap->Patch(
-          rid, [&](char* head, size_t size) { PatchLabel(head, size, label); }));
-    }
-  }
-  return flips;
-#else
   // capacity/4: see ClassifyRids — headroom for caller-held pins.
   const size_t min_parallel = kDefaultMinParallelRows / 8;
   const size_t nchunks =
@@ -262,7 +205,6 @@ StatusOr<uint64_t> RelabelRids(storage::HeapFile* heap, const ml::LinearModel& m
   uint64_t total = 0;
   for (uint64_t f : flips) total += f;
   return total;
-#endif
 }
 
 StatusOr<EntityHeader> ReadEntityHeader(const storage::HeapFile& heap,

@@ -14,10 +14,6 @@
 //      ThreadPool (pages are the natural stripe: each worker pins only its
 //      own pages, so the relabel sweep can even patch in place without
 //      locking record bytes).
-//
-// Building with -DHAZY_SCALAR_ONLY=ON restores the pre-pipeline read path —
-// sequential scans, per-tuple materializing decode, scalar kernels — which
-// is kept purely as the before/after baseline for bench/micro_scan_score.
 
 #ifndef HAZY_CORE_SCAN_PIPELINE_H_
 #define HAZY_CORE_SCAN_PIPELINE_H_
@@ -125,21 +121,6 @@ Status ScoreHeapScan(const storage::HeapFile& heap, const ml::LinearModel& model
   // Every caller of a scoring heap scan is computing labels on demand — the
   // lazy read path — so the span lives here rather than in each view.
   obs::TraceScope scan_span(obs::SpanKind::kLazyScan);
-#ifdef HAZY_SCALAR_ONLY
-  // Pre-pipeline baseline: sequential scan, per-tuple materializing decode.
-  Status inner;
-  HAZY_RETURN_NOT_OK(heap.Scan([&](storage::Rid rid, std::string_view bytes) {
-    auto rec = DecodeEntityRecord(bytes);
-    if (!rec.ok()) {
-      inner = rec.status();
-      return false;
-    }
-    emit(size_t{0},
-         ScoredRow{rec->id, rid, model.Eps(rec->features), rec->label});
-    return true;
-  }));
-  return inner;
-#else
   HAZY_RETURN_NOT_OK(heap.EnsurePageIds());
   const std::vector<uint32_t>& pages = heap.PageIds();
   const size_t nchunks = HeapScanChunks(heap);
@@ -215,7 +196,6 @@ Status ScoreHeapScan(const storage::HeapFile& heap, const ml::LinearModel& model
     HAZY_RETURN_NOT_OK(s);
   }
   return Status::OK();
-#endif
 }
 
 /// The eager relabel sweep: rescans the whole heap, rescores every tuple

@@ -50,31 +50,30 @@ Status ManagedView::Flush() {
 }
 
 Status ManagedView::PublishEpoch() {
-  if (!adopted_ || !snapshots_supported_) return Status::OK();
-  if (db_ != nullptr && db_->in_update_batch()) {
+  // Not adopted yet: AdoptView publishes the first epoch.
+  if (!epochs_.HasPublished()) return Status::OK();
+  if (db_->in_update_batch()) {
     // Mid-batch: publishing here would expose a partially applied statement
-    // to snapshot readers (the gated path never allowed that) and would
-    // seal one chunk per row of a multi-row insert. Defer to the outermost
-    // EndUpdateBatch — the real epoch boundary.
+    // to snapshot readers and would seal one chunk per row of a multi-row
+    // insert. Defer to the outermost EndUpdateBatch — the real epoch
+    // boundary.
     epoch_publish_pending_ = true;
     return Status::OK();
   }
+  return PublishEpochNow();
+}
+
+Status ManagedView::PublishEpochNow() {
   if (store_reset_pending_) {
     std::vector<core::Entity> ents;
-    Status s = view_->ExportEntities(&ents);
-    if (s.IsNotSupported()) {
-      snapshots_supported_ = false;
-      return Status::OK();
-    }
-    HAZY_RETURN_NOT_OK(s);
+    HAZY_RETURN_NOT_OK(view_->ExportEntities(&ents));
     store_builder_.ReplaceAll(std::move(ents));
     store_reset_pending_ = false;
   }
   // Every view of a database shares view_defaults.holder_p (the per-view
   // definition overrides only mode and loss).
   epochs_.Publish(view_->model(), store_builder_.Seal(),
-                  db_ != nullptr ? db_->options().view_defaults.holder_p
-                                 : ml::kInf);
+                  db_->options().view_defaults.holder_p);
   epoch_publish_pending_ = false;
   return Status::OK();
 }
@@ -495,10 +494,10 @@ StatusOr<ManagedView*> Database::CreateClassificationView(
   }));
   HAZY_RETURN_NOT_OK(inner);
 
+  // Adopted (first epoch published) before the triggers are armed: a
+  // failed adoption drops the view with nothing pointing at it.
+  HAZY_RETURN_NOT_OK(AdoptView(std::move(mv)).status());
   HAZY_RETURN_NOT_OK(ArmTriggers(raw));
-
-  AdoptView(std::move(mv));
-  HAZY_RETURN_NOT_OK(raw->PublishEpoch());
   // During recovery replay the collectors are not yet registered;
   // RegisterStatsCollectors picks the view up once the database is live.
   if (!stats_collectors_.empty()) {
@@ -520,10 +519,10 @@ StatusOr<ManagedView*> Database::CreateClassificationView(
   return raw;
 }
 
-ManagedView* Database::AdoptView(std::unique_ptr<ManagedView> mv) {
+StatusOr<ManagedView*> Database::AdoptView(std::unique_ptr<ManagedView> mv) {
   ManagedView* raw = mv.get();
   raw->epochs_.SetMetricLabels(ViewLabel(raw->def()));
-  raw->adopted_ = true;
+  HAZY_RETURN_NOT_OK(raw->PublishEpochNow());
   MutexLock lock(views_mu_);
   views_.push_back(std::move(mv));
   return raw;
@@ -622,9 +621,7 @@ Status Database::OnEntityInsert(ManagedView* mv, const Row& row) {
   HAZY_RETURN_NOT_OK(mv->view_->AddEntity(ent));
   // Mirror the append into the snapshot store builder (sealed into a chunk
   // at the next publish); a pending reset re-exports everything anyway.
-  if (mv->snapshots_supported_ && !mv->store_reset_pending_) {
-    mv->store_builder_.Append(ent);
-  }
+  if (!mv->store_reset_pending_) mv->store_builder_.Append(ent);
   return mv->PublishEpoch();
 }
 

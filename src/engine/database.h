@@ -97,19 +97,17 @@ class ManagedView {
 
   /// Applies queued trigger updates (accumulated while the database is in
   /// an update batch) as one UpdateBatch. No-op when nothing is queued.
-  /// Reads flush implicitly, so batching never changes query answers.
+  /// The engine-API reads above flush first, so they see the queued
+  /// examples; SQL reads never flush and answer from the last published
+  /// epoch (the committed batch prefix).
   Status Flush();
 
   /// Trigger updates queued and not yet applied to the core view.
   size_t pending_updates() const { return pending_.size(); }
 
-  /// True once a read epoch has been published. Monotonic for the lifetime
-  /// of the view object: a caller seeing true can Pin without re-checking.
-  bool HasSnapshot() const { return epochs_.HasPublished(); }
-
-  /// Pins the latest published epoch for lock-free snapshot reads (empty
-  /// when none published — architectures that cannot export their entity
-  /// set never publish, and their reads stay on the gated path).
+  /// Pins the latest published epoch for lock-free snapshot reads. Never
+  /// empty for a view the database has adopted: AdoptView publishes the
+  /// first epoch before the view can be named.
   core::SnapshotPin PinSnapshot() { return epochs_.Pin(); }
 
   /// The view's epoch machinery (tests and introspection).
@@ -121,12 +119,18 @@ class ManagedView {
 
   /// Publishes the current (model, entity set) as a new read epoch. Called
   /// by the write side at batch boundaries — after Flush, a non-batched
-  /// trigger update, a retrain, or a checkpoint restore. Inside an update
-  /// batch it only records the request (epoch_publish_pending_); the
-  /// outermost EndUpdateBatch performs the actual publish so readers never
-  /// observe a partially applied statement. No-op until the view is adopted
-  /// into the database and for architectures without ExportEntities support.
+  /// trigger update, or a retrain. Inside an update batch it only records
+  /// the request (epoch_publish_pending_); the outermost EndUpdateBatch
+  /// performs the actual publish so readers never observe a partially
+  /// applied statement. No-op until Database::AdoptView has published the
+  /// first epoch: before that no reader can see the view (creation replays
+  /// one trigger per pre-existing example, and per-example full exports
+  /// there would be quadratic).
   Status PublishEpoch();
+
+  /// The publish itself, batch or not: seeds the store builder from the
+  /// core view when a reset is pending, seals it, and publishes.
+  Status PublishEpochNow();
 
   ClassificationViewDef def_;
   std::unique_ptr<features::FeatureFunction> feature_fn_;
@@ -151,14 +155,6 @@ class ManagedView {
   /// mid-batch would let snapshot readers observe a partially applied
   /// statement, so the publish defers to the outermost EndUpdateBatch.
   bool epoch_publish_pending_ = false;
-  /// Cleared on the first ExportEntities NotSupported; stops both publish
-  /// attempts and builder appends for kernel-style architectures.
-  bool snapshots_supported_ = true;
-  /// Set by Database::AdoptView; publications before adoption are skipped
-  /// (creation replays one trigger per pre-existing example — per-example
-  /// full exports there would be quadratic, and no reader can see the view
-  /// yet).
-  bool adopted_ = false;
 };
 
 /// \brief Configuration for a Database instance.
@@ -299,10 +295,13 @@ class Database {
   /// Enters batched-trigger mode: example-insert triggers queue their
   /// maintenance work instead of applying it per row, and the queue is
   /// flushed to each view as one amortized UpdateBatch. Nestable; only the
-  /// outermost EndUpdateBatch flushes. Reads against a view always flush
-  /// its queue first, so answers are identical to unbatched execution.
-  /// The WAL groups the batch's mutations under one commit marker so replay
-  /// reproduces the batched fold boundaries bit-exactly.
+  /// outermost EndUpdateBatch flushes and publishes the views' next epochs.
+  /// Inside the batch, SQL reads answer from the last published epoch, so
+  /// they do not see the queued examples until the batch ends; the
+  /// ManagedView engine-API reads (LabelOf/MembersOf/CountOf) flush the
+  /// view's queue first and do. The WAL groups the batch's mutations under
+  /// one commit marker so replay reproduces the batched fold boundaries
+  /// bit-exactly.
   void BeginUpdateBatch();
 
   /// Leaves batched-trigger mode, flushing every view's queue when the
@@ -376,9 +375,12 @@ class Database {
   Status ArmTriggers(ManagedView* mv);
 
   /// Installs a fully built view into views_ (under views_mu_, so lock-free
-  /// readers resolving names never race the vector growing) and wires its
-  /// epoch metric labels. Returns the stable raw pointer.
-  ManagedView* AdoptView(std::unique_ptr<ManagedView> mv)
+  /// readers resolving names never race the vector growing) after wiring
+  /// its epoch metric labels and publishing its first epoch — even inside
+  /// an update batch, since no reader can have seen the view yet. Every
+  /// view a reader can name thus has an epoch to answer from. Returns the
+  /// stable raw pointer; on error the view is dropped, never installed.
+  StatusOr<ManagedView*> AdoptView(std::unique_ptr<ManagedView> mv)
       EXCLUDES(views_mu_);
 
   /// Stable raw pointers to every installed view, copied under views_mu_.

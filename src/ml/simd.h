@@ -15,10 +15,9 @@
 // Dispatch is at RUNTIME: when the build compiled the AVX2 TU
 // (ml/simd_avx2.cc, the only file built with -mavx2 -mfma), each kernel
 // checks cpuid once and routes accordingly — a binary built on an AVX2
-// machine still runs (scalar) on hardware without it. -DHAZY_SIMD=OFF or
-// the HAZY_SCALAR_ONLY legacy-comparison build drop the AVX2 TU entirely.
-// Either way results are bit-identical, so water-line and Skiing decisions
-// never drift across builds or machines.
+// machine still runs (scalar) on hardware without it. -DHAZY_SIMD=OFF
+// drops the AVX2 TU entirely. Either way results are bit-identical, so
+// water-line and Skiing decisions never drift across builds or machines.
 //
 // All kernels tolerate unaligned inputs: tuple bytes come straight out of
 // slotted pages at arbitrary offsets, so loads go through memcpy (scalar)

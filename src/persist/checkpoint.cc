@@ -287,12 +287,11 @@ Status ViewCheckpointer::RestoreViewFromBlob(std::string_view blob) {
                                                   db_->pool_.get()));
   HAZY_RETURN_NOT_OK(mv->view_->LoadState(&r));
 
-  ManagedView* raw = db_->AdoptView(std::move(mv));
-  HAZY_RETURN_NOT_OK(db_->ArmTriggers(raw));
-  // Seed and publish the restored view's first read epoch — recovered
+  // Adoption publishes the restored view's first read epoch — recovered
   // databases serve snapshot reads immediately, answering exactly as the
   // checkpointed state did.
-  return raw->PublishEpoch();
+  HAZY_ASSIGN_OR_RETURN(ManagedView * raw, db_->AdoptView(std::move(mv)));
+  return db_->ArmTriggers(raw);
 }
 
 Status ViewCheckpointer::WriteViewRows(uint64_t epoch) {

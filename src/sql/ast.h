@@ -51,7 +51,7 @@ struct SelectStmt {
   std::vector<std::string> columns;  // empty + !count_star means '*'
   std::string table;
   std::optional<Predicate> where;
-  std::optional<int64_t> limit;
+  std::optional<int64_t> limit;      // >= 0: the parser rejects a negative LIMIT
 };
 
 /// DELETE FROM t WHERE pred

@@ -1,6 +1,7 @@
 #include "sql/executor.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.h"
@@ -340,10 +341,10 @@ Status RejectReservedWrite(const std::string& name) {
   return Status::OK();
 }
 
-/// Rows a view read will emit from `n` candidates under the LIMIT, if any.
-size_t RowsToEmit(const SelectStmt& stmt, size_t n) {
-  if (!stmt.limit.has_value()) return n;
-  return std::min(n, static_cast<size_t>(*stmt.limit));
+/// The LIMIT as a cap on result rows (no LIMIT caps nothing).
+size_t RowLimit(const SelectStmt& stmt) {
+  return stmt.limit.has_value() ? static_cast<size_t>(*stmt.limit)
+                                : std::numeric_limits<size_t>::max();
 }
 
 }  // namespace
@@ -420,284 +421,159 @@ StatusOr<ResultSet> Executor::ExecInsert(const InsertStmt& stmt) {
 }
 
 bool IsSnapshotRead(engine::Database* db, const Statement& stmt) {
+  // Every view the database can name has a published epoch (AdoptView
+  // publishes it first), so naming a view is the whole test.
   const auto* sel = std::get_if<SelectStmt>(&stmt);
-  if (sel == nullptr) return false;
-  // The view must be resolved AND dereferenced under the scope: unregistered,
-  // a concurrent VACUUM drain sees no reader and frees the object between
-  // GetView and HasSnapshot. Inactive scope (swap in progress) means the
-  // statement belongs on the serialized path anyway.
-  engine::SnapshotReadScope scope(db);
-  if (!scope.active()) return false;
-  auto view = db->GetView(sel->table);
-  return view.ok() && (*view)->HasSnapshot();
+  return sel != nullptr && db->HasView(sel->table);
 }
 
 StatusOr<ResultSet> Executor::ExecSelectView(const SelectStmt& stmt,
                                              engine::ManagedView* view) {
-  if (view->HasSnapshot()) {
-    // The read's only synchronization is the pin acquisition — a lock-free
-    // shared_ptr load. Its latency lands in the mode="read" wait histogram.
-    static obs::Histogram* read_wait = obs::Registry::Global().GetHistogram(
-        "hazy_gate_wait_us", "mode=\"read\"");
-    const int64_t t0 = NowNanos();
-    core::SnapshotPin snap = view->PinSnapshot();
-    read_wait->Observe(static_cast<double>(NowNanos() - t0) / 1000.0);
-    if (snap) return ExecSelectViewSnapshot(stmt, view, *snap);
-  }
-  return ExecSelectViewGated(stmt, view);
-}
-
-StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
-    const SelectStmt& stmt, engine::ManagedView* view,
-    const core::EpochSnapshot& snap) {
+  const std::string& key_col = view->def().entity_key;
+  // The view's schema is (entity key INT, class TEXT): resolve each
+  // projected column to one of the two once, not per emitted row.
   ResultSet rs;
-  const std::string key_col = view->def().entity_key;
+  std::vector<bool> proj_is_key;
+  if (stmt.count_star) {
+    rs.columns = {{"count", storage::ColumnType::kInt64}};
+  } else {
+    const std::vector<std::string> proj =
+        stmt.columns.empty() ? std::vector<std::string>{key_col, "class"}
+                             : stmt.columns;
+    for (const auto& col : proj) {
+      const bool is_key = EqualsIgnoreCase(col, key_col);
+      if (!is_key && !EqualsIgnoreCase(col, "class")) {
+        return Status::InvalidArgument(StrFormat(
+            "view %s has columns (%s, class); no column '%s'",
+            view->name().c_str(), key_col.c_str(), col.c_str()));
+      }
+      proj_is_key.push_back(is_key);
+      rs.columns.push_back(
+          {col, is_key ? storage::ColumnType::kInt64 : storage::ColumnType::kText});
+    }
+  }
+
+  // Single Entity (`<key> = n`), All Members (`class = 'label'`), or a
+  // full scan when there is no predicate.
+  const Predicate* where = stmt.where.has_value() ? &*stmt.where : nullptr;
+  const bool eq = where != nullptr && where->op == CompareOp::kEq;
+  const bool by_key = eq && EqualsIgnoreCase(where->column, key_col);
+  const bool by_class = eq && !by_key && EqualsIgnoreCase(where->column, "class");
+  if (where != nullptr && !by_key && !by_class) {
+    return Status::NotSupported(
+        "view predicates must be '<key> = n' or \"class = 'label'\"");
+  }
+  if (by_key && !std::holds_alternative<int64_t>(where->value)) {
+    return Status::InvalidArgument("key predicate must compare to an integer");
+  }
+  if (by_class && !std::holds_alternative<std::string>(where->value)) {
+    return Status::InvalidArgument("class predicate must compare to a string label");
+  }
+  int member_sign = 0;
+  if (by_class) {
+    HAZY_ASSIGN_OR_RETURN(member_sign,
+                          view->LabelSign(std::get<std::string>(where->value)));
+  }
+
+  // The read's only synchronization is the pin: a lock-free shared_ptr
+  // load, booked in the mode="read" wait histogram.
+  static obs::Histogram* read_wait = obs::Registry::Global().GetHistogram(
+      "hazy_gate_wait_us", "mode=\"read\"");
+  const int64_t t0 = NowNanos();
+  core::SnapshotPin snap = view->PinSnapshot();
+  read_wait->Observe(static_cast<double>(NowNanos() - t0) / 1000.0);
+  if (!snap) {
+    return Status::Internal(
+        StrFormat("view %s has no published epoch", view->name().c_str()));
+  }
+
+  // The shared tail: COUNT(*) of `n` answer rows, or the first LIMIT of
+  // them projected, where row(i) is row i's (id, label). LIMIT caps the
+  // result rows, so it caps COUNT(*)'s one row too.
+  const size_t limit = RowLimit(stmt);
+  auto finish = [&](size_t n, auto row) -> ResultSet {
+    if (stmt.count_star) {
+      if (limit > 0) rs.rows.push_back(Row{static_cast<int64_t>(n)});
+      return std::move(rs);
+    }
+    n = std::min(n, limit);
+    rs.rows.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      const auto [id, label] = row(i);
+      Row out;
+      out.reserve(proj_is_key.size());
+      for (bool is_key : proj_is_key) {
+        if (is_key) {
+          out.emplace_back(id);
+        } else {
+          out.emplace_back(label);
+        }
+      }
+      rs.rows.push_back(std::move(out));
+    }
+    return std::move(rs);
+  };
+  using LabeledRow = std::pair<int64_t, const std::string&>;
+
   // The answers come from the pinned epoch, but the work is still this
-  // view's read traffic: feed its stats (relaxed cells, safe concurrent
-  // with the writer) and the statement trace exactly as the gated path
-  // would, so SHOW METRICS / EXPLAIN TRACE see one coherent story.
+  // view's read traffic: book it in the live view's stats (relaxed cells,
+  // safe beside the writer; the handle survives a racing retrain swap).
   std::shared_ptr<core::ClassificationView> live = view->SharedView();
   core::ViewStats* vstats = live->mutable_stats();
-
-  std::vector<std::string> proj = stmt.columns;
-  if (proj.empty() && !stmt.count_star) proj = {key_col, "class"};
-  for (const auto& col : proj) {
-    if (!EqualsIgnoreCase(col, key_col) && !EqualsIgnoreCase(col, "class")) {
-      return Status::InvalidArgument(StrFormat(
-          "view %s has columns (%s, class); no column '%s'",
-          view->name().c_str(), key_col.c_str(), col.c_str()));
-    }
+  if (by_key) {
+    const int64_t id = std::get<int64_t>(where->value);
+    ++vstats->single_reads;
+    StatusOr<int> sign = snap->SingleEntityRead(id);
+    // A missing entity is an empty result, not an error.
+    if (!sign.ok() && !sign.status().IsNotFound()) return sign.status();
+    return finish(sign.ok() ? 1 : 0, [&](size_t) {
+      return LabeledRow(id, view->LabelString(*sign));
+    });
   }
 
-  auto emit = [&](int64_t id, const std::string& label) {
-    Row row;
-    for (const auto& col : proj) {
-      if (EqualsIgnoreCase(col, key_col)) {
-        row.emplace_back(id);
-      } else {
-        row.emplace_back(label);
-      }
-    }
-    rs.rows.push_back(std::move(row));
-  };
+  obs::TraceScope scan_span(obs::SpanKind::kSnapshotScan);
+  ++vstats->all_members_queries;
   // tuples_scanned counts the rows actually rescored; the rest were
   // settled from their chunk's eps column by the water lines.
-  auto record_counts = [&](const core::ScanCounts& c) {
-    vstats->tuples_scanned += c.scored;
-    vstats->rows_by_bounds += c.by_bounds;
+  core::ScanCounts counts;
+  auto record_counts = [&] {
+    vstats->tuples_scanned += counts.scored;
+    vstats->rows_by_bounds += counts.by_bounds;
   };
-
-  if (stmt.where.has_value() && EqualsIgnoreCase(stmt.where->column, key_col) &&
-      stmt.where->op == CompareOp::kEq) {
-    // Single Entity read.
-    if (!std::holds_alternative<int64_t>(stmt.where->value)) {
-      return Status::InvalidArgument("key predicate must compare to an integer");
-    }
-    int64_t id = std::get<int64_t>(stmt.where->value);
-    ++vstats->single_reads;
-    auto sign = snap.SingleEntityRead(id);
-    if (sign.status().IsNotFound()) {
-      // Empty result, not an error.
+  if (by_class) {
+    const std::string& label = std::get<std::string>(where->value);
+    std::vector<int64_t> ids;
+    uint64_t n = 0;
+    if (stmt.count_star) {
+      HAZY_ASSIGN_OR_RETURN(n, snap->AllMembersCount(member_sign, &counts));
     } else {
-      HAZY_RETURN_NOT_OK(sign.status());
-      if (stmt.count_star) {
-        rs.columns = {{"count", storage::ColumnType::kInt64}};
-        rs.rows.push_back(Row{static_cast<int64_t>(1)});
-        return rs;
-      }
-      emit(id, view->LabelString(*sign));
+      HAZY_ASSIGN_OR_RETURN(ids, snap->AllMembers(member_sign, &counts));
+      n = ids.size();
     }
-  } else if (stmt.where.has_value() && EqualsIgnoreCase(stmt.where->column, "class") &&
-             stmt.where->op == CompareOp::kEq) {
-    // All Members.
-    if (!std::holds_alternative<std::string>(stmt.where->value)) {
-      return Status::InvalidArgument("class predicate must compare to a string label");
-    }
-    const std::string& label = std::get<std::string>(stmt.where->value);
-    HAZY_ASSIGN_OR_RETURN(int member_sign, view->LabelSign(label));
-    obs::TraceScope scan_span(obs::SpanKind::kSnapshotScan);
-    ++vstats->all_members_queries;
-    core::ScanCounts counts;
-    if (stmt.count_star) {
-      HAZY_ASSIGN_OR_RETURN(uint64_t n, snap.AllMembersCount(member_sign, &counts));
-      record_counts(counts);
-      rs.columns = {{"count", storage::ColumnType::kInt64}};
-      rs.rows.push_back(Row{static_cast<int64_t>(n)});
-      return rs;
-    }
-    HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids,
-                          snap.AllMembers(member_sign, &counts));
-    record_counts(counts);
-    rs.rows.reserve(RowsToEmit(stmt, ids.size()));
-    for (int64_t id : ids) {
-      emit(id, label);
-      if (stmt.limit.has_value() &&
-          rs.rows.size() >= static_cast<size_t>(*stmt.limit)) {
-        break;
-      }
-    }
-  } else if (!stmt.where.has_value()) {
-    // Full view scan: both classes from one labeling pass.
-    obs::TraceScope scan_span(obs::SpanKind::kSnapshotScan);
-    ++vstats->all_members_queries;
-    core::ScanCounts counts;
-    std::vector<std::pair<int64_t, int8_t>> all = snap.LabeledEntities(&counts);
-    record_counts(counts);
-    std::sort(all.begin(), all.end());
-    if (stmt.count_star) {
-      rs.columns = {{"count", storage::ColumnType::kInt64}};
-      rs.rows.push_back(Row{static_cast<int64_t>(all.size())});
-      return rs;
-    }
-    rs.rows.reserve(RowsToEmit(stmt, all.size()));
-    for (const auto& [id, sign] : all) {
-      emit(id, view->LabelString(sign));
-      if (stmt.limit.has_value() &&
-          rs.rows.size() >= static_cast<size_t>(*stmt.limit)) {
-        break;
-      }
-    }
-  } else {
-    return Status::NotSupported(
-        "view predicates must be '<key> = n' or \"class = 'label'\"");
+    record_counts();
+    return finish(n, [&](size_t i) { return LabeledRow(ids[i], label); });
   }
-
-  if (stmt.count_star) {
-    rs.columns = {{"count", storage::ColumnType::kInt64}};
-    rs.rows = {Row{static_cast<int64_t>(rs.rows.size())}};
-    return rs;
-  }
-  for (const auto& col : proj) {
-    rs.columns.push_back({col, EqualsIgnoreCase(col, key_col)
-                                   ? storage::ColumnType::kInt64
-                                   : storage::ColumnType::kText});
-  }
-  return rs;
-}
-
-StatusOr<ResultSet> Executor::ExecSelectViewGated(const SelectStmt& stmt,
-                                                  engine::ManagedView* view) {
-  ResultSet rs;
-  const std::string key_col = view->def().entity_key;
-
-  // Projection over the view's (id, class) schema.
-  std::vector<std::string> proj = stmt.columns;
-  if (proj.empty() && !stmt.count_star) proj = {key_col, "class"};
-  for (const auto& col : proj) {
-    if (!EqualsIgnoreCase(col, key_col) && !EqualsIgnoreCase(col, "class")) {
-      return Status::InvalidArgument(StrFormat(
-          "view %s has columns (%s, class); no column '%s'",
-          view->name().c_str(), key_col.c_str(), col.c_str()));
-    }
-  }
-
-  auto emit = [&](int64_t id, const std::string& label) {
-    Row row;
-    for (const auto& col : proj) {
-      if (EqualsIgnoreCase(col, key_col)) {
-        row.emplace_back(id);
-      } else {
-        row.emplace_back(label);
-      }
-    }
-    rs.rows.push_back(std::move(row));
-  };
-
-  if (stmt.where.has_value() && EqualsIgnoreCase(stmt.where->column, key_col) &&
-      stmt.where->op == CompareOp::kEq) {
-    // Single Entity read.
-    if (!std::holds_alternative<int64_t>(stmt.where->value)) {
-      return Status::InvalidArgument("key predicate must compare to an integer");
-    }
-    int64_t id = std::get<int64_t>(stmt.where->value);
-    auto label = view->LabelOf(id);
-    if (label.status().IsNotFound()) {
-      // Empty result, not an error.
-    } else {
-      HAZY_RETURN_NOT_OK(label.status());
-      if (stmt.count_star) {
-        rs.columns = {{"count", storage::ColumnType::kInt64}};
-        rs.rows.push_back(Row{static_cast<int64_t>(1)});
-        return rs;
-      }
-      emit(id, *label);
-    }
-  } else if (stmt.where.has_value() && EqualsIgnoreCase(stmt.where->column, "class") &&
-             stmt.where->op == CompareOp::kEq) {
-    // All Members.
-    if (!std::holds_alternative<std::string>(stmt.where->value)) {
-      return Status::InvalidArgument("class predicate must compare to a string label");
-    }
-    const std::string& label = std::get<std::string>(stmt.where->value);
-    if (stmt.count_star) {
-      HAZY_ASSIGN_OR_RETURN(uint64_t n, view->CountOf(label));
-      rs.columns = {{"count", storage::ColumnType::kInt64}};
-      rs.rows.push_back(Row{static_cast<int64_t>(n)});
-      return rs;
-    }
-    HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids, view->MembersOf(label));
-    rs.rows.reserve(RowsToEmit(stmt, ids.size()));
-    for (int64_t id : ids) {
-      emit(id, label);
-      if (stmt.limit.has_value() &&
-          rs.rows.size() >= static_cast<size_t>(*stmt.limit)) {
-        break;
-      }
-    }
-  } else if (!stmt.where.has_value()) {
-    // Full view scan: both classes.
-    std::vector<std::pair<int64_t, int8_t>> all;
-    for (int sign : {1, -1}) {
-      HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids,
-                            view->view()->AllMembers(sign));
-      for (int64_t id : ids) all.emplace_back(id, static_cast<int8_t>(sign));
-    }
-    std::sort(all.begin(), all.end());
-    if (stmt.count_star) {
-      rs.columns = {{"count", storage::ColumnType::kInt64}};
-      rs.rows.push_back(Row{static_cast<int64_t>(all.size())});
-      return rs;
-    }
-    rs.rows.reserve(RowsToEmit(stmt, all.size()));
-    for (const auto& [id, sign] : all) {
-      emit(id, view->LabelString(sign));
-      if (stmt.limit.has_value() &&
-          rs.rows.size() >= static_cast<size_t>(*stmt.limit)) {
-        break;
-      }
-    }
-  } else {
-    return Status::NotSupported(
-        "view predicates must be '<key> = n' or \"class = 'label'\"");
-  }
-
-  if (stmt.count_star) {
-    rs.columns = {{"count", storage::ColumnType::kInt64}};
-    rs.rows = {Row{static_cast<int64_t>(rs.rows.size())}};
-    return rs;
-  }
-  for (const auto& col : proj) {
-    // A view's schema is (entity key INT, class TEXT).
-    rs.columns.push_back({col, EqualsIgnoreCase(col, key_col)
-                                   ? storage::ColumnType::kInt64
-                                   : storage::ColumnType::kText});
-  }
-  return rs;
+  // Full view scan: both classes from one labeling pass.
+  std::vector<std::pair<int64_t, int8_t>> all = snap->LabeledEntities(&counts);
+  record_counts();
+  if (!stmt.count_star) std::sort(all.begin(), all.end());
+  return finish(all.size(), [&](size_t i) {
+    return LabeledRow(all[i].first, view->LabelString(all[i].second));
+  });
 }
 
 StatusOr<ResultSet> Executor::ExecSelect(const SelectStmt& stmt) {
+  // Resolves the target and reads it. The caller keeps the handles alive:
+  // a concurrent VACUUM frees every view and table in ResetHandles.
+  auto resolve_and_read = [&]() -> StatusOr<ResultSet> {
+    StatusOr<engine::ManagedView*> view = db_->GetView(stmt.table);
+    return view.ok() ? ExecSelectView(stmt, *view) : ExecSelectTable(stmt);
+  };
   {
-    // Resolve the target only while registered as a snapshot reader: a
-    // concurrent VACUUM drains registered readers before ResetHandles frees
-    // the view/table objects, so a pointer resolved before registering is a
-    // use-after-free window. The scope also covers the gated and base-table
-    // paths — the handles they scan die in the same teardown.
+    // Registered as a snapshot reader, the read holds off VACUUM's
+    // teardown: it drains registered readers before freeing handles.
     engine::SnapshotReadScope scope(db_);
-    if (scope.active()) {
-      if (!db_->HasView(stmt.table)) return ExecSelectTable(stmt);
-      HAZY_ASSIGN_OR_RETURN(engine::ManagedView * view, db_->GetView(stmt.table));
-      return ExecSelectView(stmt, view);
-    }
+    if (scope.active()) return resolve_and_read();
   }
   // A VACUUM swap is in progress (or the database is closed): registration
   // is refused and the handles are about to be invalidated. Serialize
@@ -705,9 +581,7 @@ StatusOr<ResultSet> Executor::ExecSelect(const SelectStmt& stmt) {
   // compaction) and resolve fresh handles.
   std::lock_guard<std::recursive_mutex> stmt_lock(*db_->statement_mutex());
   if (!db_->is_open()) return Status::InvalidArgument("database is not open");
-  if (!db_->HasView(stmt.table)) return ExecSelectTable(stmt);
-  HAZY_ASSIGN_OR_RETURN(engine::ManagedView * view, db_->GetView(stmt.table));
-  return ExecSelectView(stmt, view);
+  return resolve_and_read();
 }
 
 StatusOr<ResultSet> Executor::ExecSelectTable(const SelectStmt& stmt) {
@@ -731,9 +605,11 @@ StatusOr<ResultSet> Executor::ExecSelectTable(const SelectStmt& stmt) {
     }
   }
 
+  const size_t limit = RowLimit(stmt);
   uint64_t count = 0;
   Status inner;
   HAZY_RETURN_NOT_OK(table->Scan([&](const Row& row) {
+    if (!stmt.count_star && rs.rows.size() >= limit) return false;  // LIMIT 0
     if (stmt.where.has_value()) {
       auto match = MatchesPredicate(schema, row, *stmt.where);
       if (!match.ok()) {
@@ -750,14 +626,14 @@ StatusOr<ResultSet> Executor::ExecSelectTable(const SelectStmt& stmt) {
     out.reserve(proj_idx.size());
     for (size_t idx : proj_idx) out.push_back(row[idx]);
     rs.rows.push_back(std::move(out));
-    return !(stmt.limit.has_value() &&
-             rs.rows.size() >= static_cast<size_t>(*stmt.limit));
+    return rs.rows.size() < limit;
   }));
   HAZY_RETURN_NOT_OK(inner);
 
   if (stmt.count_star) {
     rs.columns = {{"count", storage::ColumnType::kInt64}};
-    rs.rows.push_back(Row{static_cast<int64_t>(count)});
+    // LIMIT caps the result rows, COUNT(*)'s one row included.
+    if (limit > 0) rs.rows.push_back(Row{static_cast<int64_t>(count)});
   }
   return rs;
 }

@@ -1,6 +1,7 @@
 // Executes parsed statements against a Database. SELECTs over a
-// classification view are routed to the Hazy maintenance engine exactly the
-// way the paper's UDF/trigger plumbing reroutes PostgreSQL queries (B.1):
+// classification view are answered from the view's pinned read epoch,
+// rerouted the way the paper's UDF/trigger plumbing reroutes PostgreSQL
+// queries to the Hazy process (B.1):
 //   WHERE <key> = k       -> Single Entity read
 //   WHERE class = 'label' -> All Members
 //   COUNT(*) variants     -> All Members count
@@ -27,10 +28,11 @@ namespace hazy::sql {
 /// prepared statement parses once and executes many times with BindParams.
 /// The string overload is the convenience composition of the two.
 ///
-/// The executor owns statement serialization. A snapshot read
-/// (IsSnapshotRead) runs lock-free against a pinned epoch; every other
-/// statement runs under Database::statement_mutex(), and on its way out
-/// runs any checkpoint the background checkpointer handed off
+/// The executor owns statement serialization. A SELECT over a view
+/// (IsSnapshotRead) runs lock-free against the view's pinned epoch, so it
+/// sees the last published batch boundary, never a half-applied batch;
+/// every other statement runs under Database::statement_mutex(), and on
+/// its way out runs any checkpoint the background checkpointer handed off
 /// (Database::CheckpointIfRequested). Callers never lock anything.
 class Executor {
  public:
@@ -76,20 +78,12 @@ class Executor {
   StatusOr<ResultSet> ExecSelect(const SelectStmt& stmt);
   /// Scans a base table (caller holds the protection ExecSelect describes).
   StatusOr<ResultSet> ExecSelectTable(const SelectStmt& stmt);
-  /// Routes a view SELECT: epoch-snapshot path when one is published (reads
-  /// never wait on ingest), gated legacy path otherwise. The caller keeps
-  /// `view` valid (ExecSelect's scope or statement-mutex hold).
+  /// Answers every SELECT over a view from its pinned epoch: Single Entity,
+  /// All Members, COUNT(*) or a full scan, then LIMIT and the projection.
+  /// Takes no lock and folds no queued trigger work, so it never waits on
+  /// ingest (MVCC semantics). The caller keeps `view` valid (ExecSelect's
+  /// scope or statement-mutex hold).
   StatusOr<ResultSet> ExecSelectView(const SelectStmt& stmt, engine::ManagedView* view);
-  /// The lock-free read path: answers from a pinned epoch snapshot without
-  /// taking the statement mutex or folding pending trigger updates (readers
-  /// see the last published batch boundary — MVCC semantics).
-  StatusOr<ResultSet> ExecSelectViewSnapshot(const SelectStmt& stmt,
-                                             engine::ManagedView* view,
-                                             const core::EpochSnapshot& snap);
-  /// The legacy path: reads under the statement mutex with read-your-writes
-  /// (pending trigger updates fold first).
-  StatusOr<ResultSet> ExecSelectViewGated(const SelectStmt& stmt,
-                                          engine::ManagedView* view);
   StatusOr<ResultSet> ExecDelete(const DeleteStmt& stmt);
   StatusOr<ResultSet> ExecUpdate(const UpdateStmt& stmt);
   StatusOr<ResultSet> ExecCheckpoint();
@@ -113,14 +107,12 @@ class Executor {
 StatusOr<bool> MatchesPredicate(const storage::Schema& schema, const storage::Row& row,
                                 const Predicate& pred);
 
-/// True when `stmt` is a SELECT over a classification view with a published
-/// epoch snapshot. Such statements read immutable state and run without the
-/// statement mutex (Executor::Execute uses this to let reads bypass a
-/// saturating update stream). The check registers itself as a
-/// snapshot reader for its duration (and answers false while a VACUUM swap
-/// refuses registration), so it never dereferences a view a concurrent
-/// VACUUM is tearing down. HasSnapshot is monotonic, so a true answer
-/// cannot be invalidated by concurrent ingest.
+/// True when `stmt` is a SELECT whose table names a classification view.
+/// Every view the database can name has a published epoch, so such a
+/// statement reads immutable state and runs without the statement mutex
+/// (Executor::Execute uses this to let reads bypass a saturating update
+/// stream). Only the name is looked up; no view is dereferenced, so a
+/// concurrent VACUUM swap cannot free anything under the check.
 bool IsSnapshotRead(engine::Database* db, const Statement& stmt);
 
 }  // namespace hazy::sql

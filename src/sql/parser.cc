@@ -328,6 +328,7 @@ StatusOr<Statement> ParseSelect(Cursor* c) {
       return Status::InvalidArgument("LIMIT expects an integer");
     }
     stmt.limit = std::strtoll(t.text.c_str(), nullptr, 10);
+    if (*stmt.limit < 0) return Status::InvalidArgument("LIMIT must not be negative");
     c->Advance();
   }
   return Statement(std::move(stmt));

@@ -43,6 +43,30 @@ constexpr ArchMode kArchModes[] = {
     {core::Architecture::kHybrid, core::Mode::kLazy, "HybridLazy"},
 };
 
+/// The Example 2.1 view over the shared test corpus.
+ClassificationViewDef PapersViewDef(const std::string& name) {
+  ClassificationViewDef def;
+  def.view_name = name;
+  def.entity_table = "Papers";
+  def.entity_key = "id";
+  def.label_table = "Paper_Area";
+  def.label_column = "label";
+  def.example_table = "Example_Papers";
+  def.example_key = "id";
+  def.example_label = "label";
+  return def;
+}
+
+/// Inserts every corpus paper with its true label as a training example.
+void InsertAllExamples(Database* db) {
+  auto examples = db->catalog()->GetTable("Example_Papers");
+  ASSERT_TRUE(examples.ok());
+  for (int64_t id = 0; id < kTestCorpusSize; ++id) {
+    ASSERT_TRUE(
+        (*examples)->Insert(storage::Row{id, std::string(TestCorpusLabel(id))}).ok());
+  }
+}
+
 class EngineSnapshotTest : public ::testing::TestWithParam<ArchMode> {
  protected:
   void SetUp() override {
@@ -56,16 +80,7 @@ class EngineSnapshotTest : public ::testing::TestWithParam<ArchMode> {
   }
 
   ClassificationViewDef Def() {
-    ClassificationViewDef def;
-    def.view_name = "Labeled_Papers";
-    def.entity_table = "Papers";
-    def.entity_key = "id";
-    def.label_table = "Paper_Area";
-    def.label_column = "label";
-    def.example_table = "Example_Papers";
-    def.example_key = "id";
-    def.example_label = "label";
-    def.feature_function = "tf_bag_of_words";
+    ClassificationViewDef def = PapersViewDef("Labeled_Papers");
     def.architecture = GetParam().arch;
     def.mode = GetParam().mode;
     return def;
@@ -104,13 +119,12 @@ class EngineSnapshotTest : public ::testing::TestWithParam<ArchMode> {
 
 // At a batch boundary every snapshot SQL read shape (single-entity, members,
 // count) answers bit-identically to the live view's engine API — the core
-// invariant that makes skipping the statement gate sound.
+// invariant that makes reading without the statement mutex sound.
 TEST_P(EngineSnapshotTest, SnapshotAnswersMatchLiveViewAtBatchBoundary) {
   ManagedView* view = MustCreateView();
   ASSERT_NE(view, nullptr);
   TrainAll();
-  ASSERT_TRUE(view->HasSnapshot())
-      << "no epoch published; reads would fall back to the gated path";
+  ASSERT_TRUE(view->PinSnapshot()) << "no epoch published";
 
   for (int64_t id = 0; id < 10; ++id) {
     auto rs = MustExec("SELECT class FROM Labeled_Papers WHERE id = " +
@@ -157,7 +171,7 @@ TEST_P(EngineSnapshotTest, SnapshotMatchesLiveViewAcrossInterleavedBatches) {
   auto papers = db_->catalog()->GetTable("Papers");
   ASSERT_TRUE(papers.ok());
   ASSERT_TRUE(examples_->Insert(storage::Row{int64_t{0}, std::string("DB")}).ok());
-  ASSERT_TRUE(view->HasSnapshot());
+  ASSERT_TRUE(view->PinSnapshot());
 
   auto ids_of = [&](const sql::ResultSet& rs) {
     std::set<int64_t> ids;
@@ -234,32 +248,49 @@ TEST_P(EngineSnapshotTest, SnapshotMatchesLiveViewAcrossInterleavedBatches) {
   }
 }
 
-// MVCC semantics: while an update batch is open, snapshot readers keep
-// answering from the last published epoch — the batch's queued model updates
-// are invisible until EndUpdateBatch publishes, and the whole batch becomes
-// visible atomically.
+// MVCC semantics: while an update batch is open, SQL readers keep answering
+// from the last published epoch — the batch's queued model updates are
+// invisible until EndUpdateBatch publishes, and the whole batch becomes
+// visible atomically. The engine-API reads are different: they flush the
+// view's queue first, so they see the queued examples mid-batch.
 TEST_P(EngineSnapshotTest, MidBatchReaderSeesPreBatchEpoch) {
   ManagedView* view = MustCreateView();
   ASSERT_NE(view, nullptr);
-  // Partial training so the mid-batch examples would move the model.
+  // Partial training so the mid-batch examples move the model (one DB
+  // example labels every paper DB; the batch brings the count to 5).
   ASSERT_TRUE(examples_->Insert(storage::Row{int64_t{0}, std::string("DB")}).ok());
-  ASSERT_TRUE(
-      examples_->Insert(storage::Row{int64_t{5}, std::string("OTHER")}).ok());
-  ASSERT_TRUE(view->HasSnapshot());
+  ASSERT_TRUE(view->PinSnapshot());
 
   const uint64_t epoch_before = view->epochs().latest_epoch();
   const std::string rows_before = Encoded(MustExec("SELECT * FROM Labeled_Papers"));
+  auto count_db = [&] {
+    auto rs = MustExec("SELECT COUNT(*) FROM Labeled_Papers WHERE class = 'DB'");
+    auto n = rs.Int64At(0, 0);
+    EXPECT_TRUE(n.ok());
+    return n.ok() ? static_cast<uint64_t>(*n) : ~uint64_t{0};
+  };
+  const uint64_t count_before = count_db();
 
   db_->BeginUpdateBatch();
   for (int64_t id = 1; id < 5; ++id) {
     ASSERT_TRUE(examples_->Insert(storage::Row{id, std::string("DB")}).ok());
   }
-  for (int64_t id = 6; id < 10; ++id) {
+  for (int64_t id = 5; id < 10; ++id) {
     ASSERT_TRUE(examples_->Insert(storage::Row{id, std::string("OTHER")}).ok());
   }
   EXPECT_GT(view->pending_updates(), 0u) << "batch did not queue the triggers";
   // A reader inside the batch: same epoch, byte-identical answers.
   EXPECT_EQ(view->epochs().latest_epoch(), epoch_before);
+  EXPECT_EQ(Encoded(MustExec("SELECT * FROM Labeled_Papers")), rows_before);
+  // The engine API folds the queue into the live view and answers from it;
+  // SQL still answers from the pre-batch epoch.
+  auto api_count = view->CountOf("DB");
+  ASSERT_TRUE(api_count.ok()) << api_count.status().ToString();
+  EXPECT_EQ(view->pending_updates(), 0u) << "CountOf did not flush the queue";
+  EXPECT_EQ(*api_count, 5u);
+  EXPECT_NE(*api_count, count_before) << "the batch must move the count";
+  EXPECT_EQ(view->epochs().latest_epoch(), epoch_before);
+  EXPECT_EQ(count_db(), count_before);
   EXPECT_EQ(Encoded(MustExec("SELECT * FROM Labeled_Papers")), rows_before);
   ASSERT_TRUE(db_->EndUpdateBatch().ok());
 
@@ -278,17 +309,19 @@ TEST_P(EngineSnapshotTest, MidBatchReaderSeesPreBatchEpoch) {
   for (int64_t id = 0; id < 10; ++id) {
     EXPECT_TRUE(labeled.count({id, id < 5 ? "DB" : "OTHER"})) << "paper " << id;
   }
+  // What the engine API answered mid-batch is what SQL answers now.
+  EXPECT_EQ(count_db(), *api_count);
 }
 
 // Regression: a multi-row INSERT into the entity table publishes exactly
 // one epoch, at the batch boundary. Per-row publication would let snapshot
-// readers observe a partially applied statement (which the gated path never
-// allowed) and would seal one store chunk per row.
+// readers observe a partially applied statement and would seal one store
+// chunk per row.
 TEST_P(EngineSnapshotTest, EntityBatchPublishesOneEpochAtBoundary) {
   ManagedView* view = MustCreateView();
   ASSERT_NE(view, nullptr);
   TrainAll();
-  ASSERT_TRUE(view->HasSnapshot());
+  ASSERT_TRUE(view->PinSnapshot());
   auto papers = db_->catalog()->GetTable("Papers");
   ASSERT_TRUE(papers.ok());
 
@@ -328,7 +361,7 @@ TEST_P(EngineSnapshotTest, RetiredEpochReclaimsAfterLastUnpin) {
   ManagedView* view = MustCreateView();
   ASSERT_NE(view, nullptr);
   ASSERT_TRUE(examples_->Insert(storage::Row{int64_t{0}, std::string("DB")}).ok());
-  ASSERT_TRUE(view->HasSnapshot());
+  ASSERT_TRUE(view->PinSnapshot());
 
   core::SnapshotPin pin = view->PinSnapshot();
   ASSERT_TRUE(pin);
@@ -374,7 +407,7 @@ TEST_P(EngineSnapshotTest, CheckpointRacingReadersRecoversBitIdentical) {
   ManagedView* view = MustCreateView();
   ASSERT_NE(view, nullptr);
   TrainAll();
-  ASSERT_TRUE(view->HasSnapshot());
+  ASSERT_TRUE(view->PinSnapshot());
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reads{0};
@@ -416,7 +449,7 @@ TEST_P(EngineSnapshotTest, CheckpointRacingReadersRecoversBitIdentical) {
   ASSERT_TRUE(db2->Open().ok());
   auto recovered = db2->GetView("Labeled_Papers");
   ASSERT_TRUE(recovered.ok());
-  EXPECT_TRUE((*recovered)->HasSnapshot())
+  EXPECT_TRUE((*recovered)->PinSnapshot())
       << "recovery must republish a read epoch";
   std::string blob_recovered;
   ASSERT_TRUE(persist::ViewCheckpointer(db2.get())
@@ -433,9 +466,9 @@ TEST_P(EngineSnapshotTest, CheckpointRacingReadersRecoversBitIdentical) {
 // Executor::Execute, which routes through IsSnapshotRead — while VACUUM
 // repeatedly swaps the backing file and frees every ManagedView.
 // Regression for a use-after-free: the
-// view pointer used to be resolved (and dereferenced by HasSnapshot) before
-// the reader registered in a SnapshotReadScope, so the swap's drain could
-// miss the reader and tear the view down under it. ASan/TSan runs of this
+// view pointer used to be resolved (and dereferenced) before the reader
+// registered in a SnapshotReadScope, so the swap's drain could miss the
+// reader and tear the view down under it. ASan/TSan runs of this
 // test catch any reintroduction.
 TEST(SnapshotVacuumRaceTest, ReadersRacingVacuumNeverCrash) {
   const std::string path =
@@ -448,27 +481,11 @@ TEST(SnapshotVacuumRaceTest, ReadersRacingVacuumNeverCrash) {
   Database db(opts);
   ASSERT_TRUE(db.Open().ok());
   BuildTestCorpus(&db);
-  ClassificationViewDef def;
-  def.view_name = "Labeled_Papers";
-  def.entity_table = "Papers";
-  def.entity_key = "id";
-  def.label_table = "Paper_Area";
-  def.label_column = "label";
-  def.example_table = "Example_Papers";
-  def.example_key = "id";
-  def.example_label = "label";
-  def.feature_function = "tf_bag_of_words";
+  ClassificationViewDef def = PapersViewDef("Labeled_Papers");
   def.architecture = core::Architecture::kHazyMM;
   def.mode = core::Mode::kLazy;
   ASSERT_TRUE(db.CreateClassificationView(def).ok());
-  auto examples = db.catalog()->GetTable("Example_Papers");
-  ASSERT_TRUE(examples.ok());
-  for (int64_t id = 0; id < kTestCorpusSize; ++id) {
-    ASSERT_TRUE(
-        (*examples)
-            ->Insert(storage::Row{id, std::string(TestCorpusLabel(id))})
-            .ok());
-  }
+  InsertAllExamples(&db);
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reads{0};
@@ -504,10 +521,98 @@ TEST(SnapshotVacuumRaceTest, ReadersRacingVacuumNeverCrash) {
   // The last swap recovered a live, snapshot-capable view.
   auto view = db.GetView("Labeled_Papers");
   ASSERT_TRUE(view.ok());
-  EXPECT_TRUE((*view)->HasSnapshot());
+  EXPECT_TRUE((*view)->PinSnapshot());
 
   ::unlink(path.c_str());
   ::unlink((path + "-wal").c_str());
+}
+
+// Every view SQL can name has a published epoch: AdoptView publishes the
+// first one before the view enters the database's list. A reader polling a
+// view while another thread creates it therefore only ever sees "not found"
+// (the name does not resolve yet) or the right count — never an empty pin
+// or an Internal error. The poller's misses run serialized behind the
+// CREATE; the watcher spins on the name alone and reads lock-free the
+// moment the view can be named, while the CREATE may still hold the
+// statement mutex. TSan runs of this test check the publication.
+TEST(SnapshotCreateRaceTest, ReadersRacingCreateViewSeeNotFoundOrAnswer) {
+  Database db;
+  ASSERT_TRUE(db.Open().ok());
+  BuildTestCorpus(&db);
+  InsertAllExamples(&db);
+
+  sql::Executor writer(&db);
+  for (int round = 0; round < 16; ++round) {
+    const std::string name = "V" + std::to_string(round + 2);
+    const std::string query = "SELECT COUNT(*) FROM " + name + " WHERE class = 'DB'";
+    auto expect_count = [&](const StatusOr<sql::ResultSet>& rs) {
+      ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+      ASSERT_EQ(rs->rows.size(), 1u);
+      EXPECT_EQ(rs->Int64At(0, 0).ValueOrDie(), 5) << name;
+    };
+    std::atomic<bool> created{false};
+    std::atomic<uint64_t> misses{0};
+    std::thread poller([&] {
+      sql::Executor exec(&db);
+      for (;;) {
+        const bool after_create = created.load();
+        auto rs = exec.Execute(query);
+        if (rs.ok() || after_create || !rs.status().IsNotFound()) {
+          expect_count(rs);
+          return;
+        }
+        misses.fetch_add(1);
+      }
+    });
+    std::thread watcher([&] {
+      sql::Executor exec(&db);
+      while (!db.HasView(name) && !created.load()) std::this_thread::yield();
+      expect_count(exec.Execute(query));
+    });
+    // Let the poller miss at least once, so creation races live readers.
+    while (misses.load() < 1) std::this_thread::yield();
+    auto rs = writer.Execute(
+        "CREATE CLASSIFICATION VIEW " + name +
+        " KEY id ENTITIES FROM Papers KEY id LABELS FROM Paper_Area LABEL label "
+        "EXAMPLES FROM Example_Papers KEY id LABEL label "
+        "FEATURE FUNCTION tf_bag_of_words");
+    created.store(true);
+    poller.join();
+    watcher.join();
+    ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  }
+}
+
+// A view created inside an open update batch is adopted with its first
+// epoch already published, so SQL reads answer before EndUpdateBatch.
+TEST(SnapshotCreateInBatchTest, ViewCreatedMidBatchAnswersSqlReads) {
+  Database db;
+  ASSERT_TRUE(db.Open().ok());
+  BuildTestCorpus(&db);
+  InsertAllExamples(&db);
+  sql::Executor exec(&db);
+
+  db.BeginUpdateBatch();
+  auto view = db.CreateClassificationView(PapersViewDef("Labeled_Papers"));
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  EXPECT_TRUE((*view)->PinSnapshot());
+  auto all = exec.Execute("SELECT COUNT(*) FROM Labeled_Papers");
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_EQ(all->rows.size(), 1u);
+  EXPECT_EQ(all->Int64At(0, 0).ValueOrDie(), kTestCorpusSize);
+  auto point = exec.Execute("SELECT class FROM Labeled_Papers WHERE id = 3");
+  ASSERT_TRUE(point.ok()) << point.status().ToString();
+  EXPECT_EQ(point->rows.size(), 1u);
+  ASSERT_TRUE(db.EndUpdateBatch().ok());
+
+  // The batch boundary folds the replayed examples: exact labels.
+  auto members = exec.Execute("SELECT id FROM Labeled_Papers WHERE class = 'DB'");
+  ASSERT_TRUE(members.ok()) << members.status().ToString();
+  std::set<int64_t> ids;
+  for (size_t i = 0; i < members->rows.size(); ++i) {
+    ids.insert(members->Int64At(i, 0).ValueOrDie());
+  }
+  EXPECT_EQ(ids, (std::set<int64_t>{0, 1, 2, 3, 4}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Architectures, EngineSnapshotTest,

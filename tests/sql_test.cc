@@ -125,6 +125,11 @@ TEST(ParserTest, SelectVariants) {
   auto s3 = Parse("SELECT * FROM t WHERE score >= 0.5");
   ASSERT_TRUE(s3.ok());
   EXPECT_EQ(std::get<SelectStmt>(*s3).where->op, CompareOp::kGe);
+  auto s4 = Parse("SELECT * FROM t LIMIT 0");
+  ASSERT_TRUE(s4.ok());
+  ASSERT_TRUE(std::get<SelectStmt>(*s4).limit.has_value());
+  EXPECT_EQ(*std::get<SelectStmt>(*s4).limit, 0);
+  EXPECT_TRUE(Parse("SELECT * FROM t LIMIT -1").status().IsInvalidArgument());
 }
 
 TEST(ParserTest, Delete) {
@@ -190,6 +195,25 @@ TEST_F(SqlEndToEndTest, TableDml) {
   rs = MustExec("SELECT * FROM t LIMIT 1");
   EXPECT_EQ(rs.rows.size(), 1u);
   EXPECT_EQ(rs.columns.size(), 3u);
+}
+
+// LIMIT n caps the result rows before any is emitted: LIMIT 0 returns none
+// (COUNT(*)'s one row included), and a negative LIMIT does not parse.
+TEST_F(SqlEndToEndTest, LimitCapsTableRows) {
+  MustExec("CREATE TABLE t (id INT PRIMARY KEY, name TEXT)");
+  MustExec("INSERT INTO t VALUES (1, 'one'), (2, 'two'), (3, 'three')");
+  for (const char* where : {"", " WHERE id > 1"}) {
+    const std::string from = std::string(" FROM t") + where;
+    auto none = MustExec("SELECT *" + from + " LIMIT 0");
+    EXPECT_TRUE(none.rows.empty()) << from;
+    EXPECT_EQ(none.columns.size(), 2u) << from;
+    EXPECT_EQ(MustExec("SELECT name" + from + " LIMIT 1").rows.size(), 1u) << from;
+    EXPECT_TRUE(MustExec("SELECT COUNT(*)" + from + " LIMIT 0").rows.empty()) << from;
+    EXPECT_EQ(MustExec("SELECT COUNT(*)" + from + " LIMIT 1").rows.size(), 1u) << from;
+    EXPECT_TRUE(exec_->Execute("SELECT *" + from + " LIMIT -1").status().IsInvalidArgument())
+        << from;
+  }
+  EXPECT_EQ(MustExec("SELECT * FROM t LIMIT 10").rows.size(), 3u);
 }
 
 TEST_F(SqlEndToEndTest, DuplicateKeyReported) {
@@ -315,6 +339,39 @@ TEST_F(SqlEndToEndTest, ViewQueryErrors) {
   // Missing entity: empty result, not an error.
   auto rs = MustExec("SELECT * FROM V WHERE id = 99");
   EXPECT_TRUE(rs.rows.empty());
+}
+
+// The same LIMIT rules over every view predicate shape: Single Entity, All
+// Members and the full scan.
+TEST_F(SqlEndToEndTest, LimitCapsViewRows) {
+  MustExec("CREATE TABLE E (id INT PRIMARY KEY, t TEXT)");
+  MustExec("CREATE TABLE L (label TEXT)");
+  MustExec("INSERT INTO L VALUES ('A'), ('B')");
+  MustExec("CREATE TABLE X (id INT PRIMARY KEY, label TEXT)");
+  MustExec(
+      "INSERT INTO E VALUES (1, 'alpha beta'), (2, 'alpha gamma'), "
+      "(3, 'delta epsilon'), (4, 'delta zeta')");
+  MustExec(
+      "CREATE CLASSIFICATION VIEW V KEY id ENTITIES FROM E KEY id "
+      "LABELS FROM L LABEL label EXAMPLES FROM X KEY id LABEL label "
+      "FEATURE FUNCTION tf_bag_of_words");
+  MustExec("INSERT INTO X VALUES (1, 'A'), (2, 'A'), (3, 'B'), (4, 'B')");
+
+  for (const char* where : {" WHERE id = 1", " WHERE class = 'A'", ""}) {
+    const std::string from = std::string(" FROM V") + where;
+    auto none = MustExec("SELECT id" + from + " LIMIT 0");
+    EXPECT_TRUE(none.rows.empty()) << from;
+    EXPECT_EQ(none.columns.size(), 1u) << from;
+    auto one = MustExec("SELECT *" + from + " LIMIT 1");
+    EXPECT_EQ(one.rows.size(), 1u) << from;
+    EXPECT_EQ(one.columns.size(), 2u) << from;
+    EXPECT_TRUE(MustExec("SELECT COUNT(*)" + from + " LIMIT 0").rows.empty()) << from;
+    EXPECT_EQ(MustExec("SELECT COUNT(*)" + from + " LIMIT 1").rows.size(), 1u) << from;
+    EXPECT_TRUE(exec_->Execute("SELECT id" + from + " LIMIT -1").status().IsInvalidArgument())
+        << from;
+  }
+  EXPECT_EQ(MustExec("SELECT * FROM V WHERE class = 'A' LIMIT 10").rows.size(), 2u);
+  EXPECT_EQ(MustExec("SELECT * FROM V LIMIT 10").rows.size(), 4u);
 }
 
 TEST_F(SqlEndToEndTest, MultiRowInsertBatchesViewMaintenance) {

@@ -25,6 +25,13 @@ balance:
                            try_locks). Callers such as the server session go
                            through sql::Executor and never lock it.
 
+  sql-reads-epoch          Nothing under src/sql/ or src/server/ calls the
+                           engine-API view reads (LabelOf/MembersOf/CountOf)
+                           or reaches the live core view through view():
+                           every SQL read of a view answers from its pinned
+                           epoch (Executor::ExecSelectView), so a second,
+                           lock-taking read path cannot come back unnoticed.
+
   unconsumed-epoch-pin     Every EpochManager::Pin() result must be bound
                            (the SnapshotPin RAII holder is the unpin). A
                            discarded temporary unpins immediately and the
@@ -229,6 +236,24 @@ def check_statement_lock_site():
                            "through sql::Executor instead")
 
 
+LIVE_VIEW_READ_RE = re.compile(
+    r"\b(?:LabelOf|MembersOf|CountOf)\s*\(|(?:->|\.)view\s*\(\)")
+
+
+def check_sql_reads_epoch():
+    for layer in ("sql", "server"):
+        root = SRC / layer
+        for path in sorted(root.rglob("*.cc")) + sorted(root.rglob("*.h")):
+            lines = path.read_text().splitlines()
+            for idx, line in enumerate(lines):
+                if LIVE_VIEW_READ_RE.search(line.split("//")[0]):
+                    if not allowed(lines, idx, "sql-reads-epoch"):
+                        report(path, idx, "sql-reads-epoch",
+                               "live view read in the SQL/serving layer — "
+                               "answer from the view's pinned epoch "
+                               "(Executor::ExecSelectView)")
+
+
 PIN_BARE_RE = re.compile(r"^\s*[\w\.\->\(\)]*\bPin\(\)\s*;")
 
 
@@ -287,6 +312,7 @@ def main():
     check_fsync_under_pool_mutex()
     check_gate_on_reactor_thread()
     check_statement_lock_site()
+    check_sql_reads_epoch()
     check_unconsumed_epoch_pin()
     check_escape_hatch_budget()
     check_unexplained_void_status()
