@@ -1,27 +1,22 @@
 // Out-of-core ingest throughput: rows/s for a sustained row-update stream
 // over a checkpointed table whose working set exceeds the buffer pool by
-// >= 4x, under kGroupCommit — the workload the asynchronous write-back
-// subsystem (storage/bg_writer.h) exists for.
+// >= 4x, under kGroupCommit — the workload the background write-back
+// thread (storage/bg_writer.h) exists for.
 //
 // The stream patches existing rows in place (the shape of the paper's
 // eager relabel maintenance and of any upsert-heavy ingest), so every data
 // page was live at the last checkpoint: its first post-checkpoint eviction
 // must log a before-image and make the WAL durable before the page may
-// reach the file. That is where the two write-back modes part ways:
+// reach the file. Eviction detaches the dirty buffer to the writer's queue;
+// the writer batches the before-images and coalesces the fsync (one per
+// 64-page batch), off the ingest thread.
 //
-// Every config bounds the replayable WAL at the same byte threshold —
+// Both configs bound the replayable WAL at the same byte threshold —
 // unbounded replay is not an option for sustained ingest — so each
 // checkpoint epoch re-arms before-imaging and the eviction cost recurs:
 //
-//   sync eviction    (baseline) every first-dirty evicted page reads + logs
-//                    its before-image and fsyncs the WAL inline, under the
-//                    pool mutex, on the ingesting thread; the WAL bound
-//                    comes from explicit threshold CHECKPOINTs (the
-//                    operator-script equivalent)
-//   async write-back eviction detaches the dirty buffer to the background
-//                    writer, which batches the before-images and coalesces
-//                    the fsync (one per writer_batch_pages), off the
-//                    ingest thread; same explicit checkpoints
+//   async write-back the WAL bound comes from explicit threshold
+//                    CHECKPOINTs (the operator-script equivalent)
 //   async + daemon   the background checkpointer takes over the WAL bound
 //                    (wal_checkpoint_bytes), pre-flushing concurrently and
 //                    pausing ingest only for the commit section
@@ -61,13 +56,11 @@ struct RunResult {
   uint64_t checkpoints = 0;
 };
 
-RunResult RunConfig(size_t table_rows, size_t updates, bool background_writer,
-                    bool daemon) {
+RunResult RunConfig(size_t table_rows, size_t updates, bool daemon) {
   engine::DatabaseOptions opts;
   opts.buffer_pool_pages = kPoolPages;
   opts.wal.sync_mode = storage::WalOptions::SyncMode::kGroupCommit;
   opts.wal.group_commit_interval = 64;
-  opts.background_writer = background_writer;
   opts.checkpointer.enabled = daemon;
   opts.checkpointer.wal_checkpoint_bytes = kWalBound;
   opts.checkpointer.poll_seconds = 0.005;
@@ -145,11 +138,10 @@ int main(int argc, char** argv) {
               updates, kRowsPerBatch);
   HAZY_CHECK(data_mb >= 4 * pool_mb) << "working set must exceed 4x pool";
 
-  TablePrinter table({"Config", "rows/s", "speedup", "wal fsyncs", "evictions",
+  TablePrinter table({"Config", "rows/s", "wal fsyncs", "evictions",
                       "peak WAL MiB", "ckpts"});
-  auto add = [&](const char* label, const RunResult& r, double base) {
-    char speedup[32], syncs[32], evs[32], walmb[32], ckpts[32];
-    std::snprintf(speedup, sizeof(speedup), "%.2fx", r.rows_per_s / base);
+  auto add = [&](const char* label, const RunResult& r) {
+    char syncs[32], evs[32], walmb[32], ckpts[32];
     std::snprintf(syncs, sizeof(syncs), "%llu",
                   static_cast<unsigned long long>(r.wal_syncs));
     std::snprintf(evs, sizeof(evs), "%llu",
@@ -158,33 +150,25 @@ int main(int argc, char** argv) {
                   static_cast<double>(r.peak_wal_bytes) / (1 << 20));
     std::snprintf(ckpts, sizeof(ckpts), "%llu",
                   static_cast<unsigned long long>(r.checkpoints));
-    table.AddRow({label, FormatRate(r.rows_per_s), speedup, syncs, evs, walmb, ckpts});
+    table.AddRow({label, FormatRate(r.rows_per_s), syncs, evs, walmb, ckpts});
   };
 
-  RunResult sync_r = RunConfig(table_rows, updates, /*background_writer=*/false, /*daemon=*/false);
-  add("sync eviction (baseline)", sync_r, sync_r.rows_per_s);
-  ReportMetric("micro_outofcore_ingest", "sync_evict_rows_per_s", sync_r.rows_per_s,
-               "rows/s");
-
-  RunResult async_r = RunConfig(table_rows, updates, /*background_writer=*/true, /*daemon=*/false);
-  add("async write-back", async_r, sync_r.rows_per_s);
+  RunResult async_r = RunConfig(table_rows, updates, /*daemon=*/false);
+  add("async write-back", async_r);
   ReportMetric("micro_outofcore_ingest", "async_writeback_rows_per_s",
                async_r.rows_per_s, "rows/s");
-  ReportMetric("micro_outofcore_ingest", "async_vs_sync_speedup",
-               async_r.rows_per_s / sync_r.rows_per_s, "x");
 
-  RunResult daemon_r = RunConfig(table_rows, updates, /*background_writer=*/true, /*daemon=*/true);
-  add("async + checkpoint daemon", daemon_r, sync_r.rows_per_s);
+  RunResult daemon_r = RunConfig(table_rows, updates, /*daemon=*/true);
+  add("async + checkpoint daemon", daemon_r);
   ReportMetric("micro_outofcore_ingest", "async_daemon_rows_per_s",
                daemon_r.rows_per_s, "rows/s");
   ReportMetric("micro_outofcore_ingest", "daemon_peak_wal_mb",
                static_cast<double>(daemon_r.peak_wal_bytes) / (1 << 20), "MiB");
 
   table.Print();
-  std::printf("\nthe baseline pays one WAL fsync per evicted dirty page, on the\n"
-              "ingest thread and under the pool mutex; the background writer\n"
-              "batches them (%zu pages per fsync) off-thread, and the checkpoint\n"
+  std::printf("\nthe background writer batches the evicted pages' before-images\n"
+              "(%zu pages per fsync) off the ingest thread, and the checkpoint\n"
               "daemon keeps the replayable WAL tail bounded while ingest runs.\n",
-              engine::DatabaseOptions{}.writer.batch_pages);
+              storage::BgWriterOptions{}.batch_pages);
   return FlushBenchReport();
 }

@@ -124,7 +124,7 @@ int main() {
       "\\save <path> checkpoints to a file, \\open <path> recovers from one, "
       "VACUUM; compacts the database file.\n"
       "PRAGMA knobs: wal_sync = every_commit|group_commit|never, "
-      "group_commit_interval = N, bg_writer = on|off, writer_batch_pages = N,\n"
+      "group_commit_interval = N,\n"
       "checkpoint_daemon = on|off, wal_checkpoint_bytes = N, "
       "wal_checkpoint_seconds = S (bare 'PRAGMA name;' reads the setting).\n");
   std::string buffer;

@@ -231,9 +231,7 @@ Status Database::OpenImpl() {
 }
 
 Status Database::StartBackgroundServices() {
-  if (options_.background_writer) {
-    HAZY_RETURN_NOT_OK(pool_->StartBackgroundWriter(options_.writer));
-  }
+  HAZY_RETURN_NOT_OK(pool_->StartBackgroundWriter());
   if (options_.checkpointer.enabled) {
     ckpt_daemon_ = std::make_unique<persist::CheckpointDaemon>(this, options_.checkpointer);
     ckpt_daemon_->Start();
@@ -304,24 +302,6 @@ void Database::SetWalCheckpointBytes(uint64_t bytes) {
 void Database::SetWalCheckpointSeconds(double seconds) {
   options_.checkpointer.interval_seconds = seconds;
   if (ckpt_daemon_) ckpt_daemon_->set_interval_seconds(seconds);
-}
-
-void Database::SetWriterBatchPages(size_t pages) {
-  options_.writer.batch_pages = pages == 0 ? 1 : pages;
-  if (pool_) pool_->SetWriterBatchPages(options_.writer.batch_pages);
-}
-
-Status Database::SetBackgroundWriterEnabled(bool enabled) {
-  if (!pool_) return Status::InvalidArgument("database not open");
-  options_.background_writer = enabled;
-  if (enabled) {
-    if (pool_->background_writer_running()) return Status::OK();
-    return pool_->StartBackgroundWriter(options_.writer);
-  }
-  pool_->StopBackgroundWriter();
-  // Leftover queued buffers are written out so the synchronous path starts
-  // from a clean slate.
-  return pool_->DrainWriteQueue();
 }
 
 StatusOr<uint64_t> Database::Checkpoint() {

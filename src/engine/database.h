@@ -157,7 +157,10 @@ class ManagedView {
   bool epoch_publish_pending_ = false;
 };
 
-/// \brief Configuration for a Database instance.
+/// \brief Configuration for a Database instance. Eviction write-back has no
+/// knobs: once recovery is done the database starts the buffer pool's
+/// background writer (storage/bg_writer.h) with default tuning, and every
+/// evicted dirty page leaves through its write queue.
 struct DatabaseOptions {
   /// Backing file; empty = a fresh temp file.
   std::string path;
@@ -167,11 +170,6 @@ struct DatabaseOptions {
   core::ViewOptions view_defaults;
   /// Write-ahead-log durability policy (fsync per commit vs group commit).
   storage::WalOptions wal;
-  /// Asynchronous eviction write-back (storage/bg_writer.h). On by default;
-  /// turning it off restores the synchronous per-eviction fsync path (the
-  /// micro_outofcore_ingest baseline).
-  bool background_writer = true;
-  storage::BgWriterOptions writer;
   /// Background checkpointer (persist/checkpoint_daemon.h); off by default,
   /// also switchable at runtime via PRAGMA checkpoint_daemon.
   persist::CheckpointDaemonOptions checkpointer;
@@ -257,10 +255,6 @@ class Database {
   /// options().checkpointer.
   Status SetCheckpointDaemonEnabled(bool enabled);
 
-  /// Starts/stops the asynchronous write-back thread at runtime (PRAGMA
-  /// bg_writer = on|off).
-  Status SetBackgroundWriterEnabled(bool enabled);
-
   /// Live option state (reflects runtime PRAGMA changes).
   const DatabaseOptions& options() const { return options_; }
 
@@ -268,9 +262,6 @@ class Database {
   /// applied to a running daemon immediately, remembered otherwise.
   void SetWalCheckpointBytes(uint64_t bytes);
   void SetWalCheckpointSeconds(double seconds);
-
-  /// Write-back batch size (PRAGMA writer_batch_pages).
-  void SetWriterBatchPages(size_t pages);
 
   /// Slow-statement log threshold in milliseconds (PRAGMA
   /// slow_statement_ms). Statements whose traced wall clock meets the

@@ -78,8 +78,8 @@ struct VacuumStmt {};
 /// PRAGMA name [= value] — engine knobs. With a value, sets the knob; bare,
 /// reports the current setting. Knobs: wal_sync (every_commit | group_commit
 /// | never), group_commit_interval, wal_checkpoint_bytes,
-/// wal_checkpoint_seconds, checkpoint_daemon (on | off), bg_writer
-/// (on | off), writer_batch_pages, slow_statement_ms.
+/// wal_checkpoint_seconds, checkpoint_daemon (on | off),
+/// slow_statement_ms.
 struct PragmaStmt {
   std::string name;
   /// Integers arrive as int64, identifiers/strings as std::string; absent

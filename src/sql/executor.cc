@@ -278,29 +278,12 @@ StatusOr<ResultSet> Executor::ExecPragma(const PragmaStmt& stmt) {
     }
     return PragmaRow(name, std::string(db_->checkpoint_daemon() != nullptr ? "on" : "off"));
   }
-  if (EqualsIgnoreCase(name, "bg_writer")) {
-    if (has_value) {
-      HAZY_ASSIGN_OR_RETURN(bool on, PragmaOnOff(stmt));
-      HAZY_RETURN_NOT_OK(db_->SetBackgroundWriterEnabled(on));
-    }
-    return PragmaRow(
-        name, std::string(db_->buffer_pool()->background_writer_running() ? "on" : "off"));
-  }
   if (EqualsIgnoreCase(name, "slow_statement_ms")) {
     if (has_value) {
       HAZY_ASSIGN_OR_RETURN(int64_t n, PragmaInt(stmt));
       db_->set_slow_statement_ms(n);
     }
     return PragmaRow(name, db_->slow_statement_ms());
-  }
-  if (EqualsIgnoreCase(name, "writer_batch_pages")) {
-    if (has_value) {
-      HAZY_ASSIGN_OR_RETURN(int64_t n, PragmaInt(stmt));
-      if (n <= 0) return Status::InvalidArgument("batch size must be positive");
-      db_->SetWriterBatchPages(static_cast<size_t>(n));
-    }
-    return PragmaRow(name,
-                     static_cast<int64_t>(db_->options().writer.batch_pages));
   }
   return Status::InvalidArgument(StrFormat("unknown pragma '%s'", name.c_str()));
 }

@@ -48,6 +48,7 @@ void BackgroundWriter::ReplenishFreeFramesLocked() {
 void BackgroundWriter::ThreadMain() {
   MutexLock lock(pool_->mu_);
   std::vector<std::unique_ptr<BufferPool::PendingWrite>> batch;
+  uint64_t batches = 0;
   while (true) {
     while (!stop_.load(std::memory_order_relaxed) &&
            !pool_->WriterHasWorkLocked()) {
@@ -57,7 +58,6 @@ void BackgroundWriter::ThreadMain() {
 
     ReplenishFreeFramesLocked();
 
-    batch.clear();
     pool_->PopBatchLocked(pool_->writer_options_.batch_pages, &batch);
     if (batch.empty()) {
       // Replenishment may have freed frames a victim-seeker waits on, and a
@@ -66,21 +66,20 @@ void BackgroundWriter::ThreadMain() {
       continue;
     }
 
+    Status s = pool_->RetireBatchLocked(&batch);
+    if (!s.ok()) {
+      HAZY_LOG(Warning) << "background write-back stalled: " << s.ToString();
+      continue;
+    }
     const size_t sync_every = pool_->writer_options_.sync_interval_batches;
-    lock.Unlock();
-    Status s = pool_->WritePendingBatch(&batch);
-    const uint64_t batches = batches_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (s.ok() && sync_every > 0 && batches % sync_every == 0) {
+    if (sync_every > 0 && ++batches % sync_every == 0) {
       // Background data-file sync: amortizes the OS write-back debt the
       // page writes accumulate, so a checkpoint's commit-section fsync
       // finds little left to flush. Best-effort — durability still rests
       // on the WAL + the checkpoint's own fsyncs.
+      lock.Unlock();
       (void)pool_->pager_->Sync();
-    }
-    lock.Lock();
-    pool_->CompleteBatchLocked(&batch, s);
-    if (!s.ok()) {
-      HAZY_LOG(Warning) << "background write-back stalled: " << s.ToString();
+      lock.Lock();
     }
   }
   // Exiting: anyone waiting for the queue must not sleep forever on a

@@ -1,21 +1,23 @@
-// Background write-back thread for the buffer pool — the async half of the
-// out-of-core ingest path.
+// Background write-back thread for the buffer pool's write queue.
 //
-// Foreground eviction of a dirty frame detaches the frame's buffer onto the
-// pool's write queue and recycles the frame immediately; this thread retires
-// the queue in batches:
+// Every eviction of a dirty frame detaches the frame's buffer onto the
+// pool's write queue and recycles the frame. With this thread running, the
+// evicting thread returns at once and the thread retires the queue in
+// batches through BufferPool::WriteBatch (the same routine a pool without a
+// writer runs inline on the evicting thread):
 //
 //   1. before-images are logged for every first-dirty page of the batch
 //      (buffered appends, no fsync),
 //   2. ONE Wal::EnsureDurable coalesces the write-ahead fsync over the whole
-//      batch — instead of one fsync per evicted page on the faulting thread,
+//      batch,
 //   3. the page images are LSN-stamped and written to the database file.
 //
-// None of the I/O holds the pool mutex: scan and update threads keep
-// faulting and evicting while a batch is in flight. The thread also keeps a
-// low-water stock of free frames replenished ahead of demand, recycling
-// clean LRU-tail frames (and detaching dirty ones) so a foreground fault
-// can grab a frame without ever waiting on the I/O of an unrelated page.
+// None of the I/O holds the pool mutex, and none of it runs on the faulting
+// thread: scan and update threads keep faulting and evicting while a batch
+// is in flight. The thread also keeps a low-water stock of free frames
+// replenished ahead of demand, recycling clean LRU-tail frames (and
+// detaching dirty ones) so a foreground fault can grab a frame without ever
+// waiting on the I/O of an unrelated page.
 //
 // Durability contract: a detached buffer is the ONLY copy of its page until
 // the write lands. The pool therefore (a) serves fetches of a queued page by
@@ -29,7 +31,6 @@
 #define HAZY_STORAGE_BG_WRITER_H_
 
 #include <atomic>
-#include <cstdint>
 #include <thread>
 
 #include "common/status.h"
@@ -52,13 +53,8 @@ class BackgroundWriter {
   void Start();
 
   /// Signals the thread and joins it. Idempotent. Entries still queued are
-  /// left for the pool (reclaim / FlushAll).
+  /// left for the pool (reclaim, the next inline drain, FlushAll).
   void Stop() EXCLUDES(pool_->mu_);
-
-  /// Batches retired so far (test/bench introspection).
-  uint64_t batches_written() const {
-    return batches_.load(std::memory_order_relaxed);
-  }
 
  private:
   void ThreadMain() EXCLUDES(pool_->mu_);
@@ -71,7 +67,6 @@ class BackgroundWriter {
   BufferPool* pool_;
   std::thread thread_;
   std::atomic<bool> stop_{false};
-  std::atomic<uint64_t> batches_{0};
 };
 
 }  // namespace hazy::storage

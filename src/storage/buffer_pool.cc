@@ -90,34 +90,33 @@ void BufferPool::MarkDirtyFrame(size_t f) {
   ++frames_[f].dirty_gen;
 }
 
-Status BufferPool::LogBeforeImage(Frame& frame) {
-  if (wal_ == nullptr || wal_->PageLogged(frame.page_id)) return Status::OK();
-  // First write-back of this page since the checkpoint: the frame holds the
-  // mutated image, but the file still holds the checkpoint-time content —
-  // nothing may overwrite it before this record exists. Log what is on disk.
+template <typename EntryPtr>
+Status BufferPool::WriteBatch(const std::vector<EntryPtr>& batch, size_t* written) {
+  // Phase 1: before-images for every page first dirtied since the
+  // checkpoint — the file still holds its checkpoint-time content, and
+  // nothing may overwrite it before the record exists. Buffered appends, no
+  // fsync yet.
   static thread_local std::unique_ptr<char[]> scratch;
   if (!scratch) scratch = std::unique_ptr<char[]>(new char[kPageSize]);
-  HAZY_RETURN_NOT_OK(pager_->Read(frame.page_id, scratch.get()));
-  HAZY_ASSIGN_OR_RETURN(uint64_t lsn,
-                        wal_->AppendBeforeImage(frame.page_id, scratch.get()));
-  frame.lsn = lsn;
-  return Status::OK();
-}
-
-Status BufferPool::WriteBack(Frame& frame) {
-  HAZY_RETURN_NOT_OK(LogBeforeImage(frame));
-  if (wal_ != nullptr) {
-    // The write-ahead rule: the record protecting this page must be durable
-    // before the page image may replace the checkpoint-time content.
-    // Synchronous mode IS "one fsync per evicted page, inline, under the
-    // mutex" by definition; the async writer exists to avoid this path.
-    // lint:allow fsync-under-pool-mutex
-    HAZY_RETURN_NOT_OK(wal_->EnsureDurable(frame.lsn));
-    SetPageLsn(frame.data.get(), frame.lsn);
+  uint64_t max_lsn = 0;
+  for (const EntryPtr& e : batch) {
+    if (wal_ != nullptr && !wal_->PageLogged(e->page_id)) {
+      HAZY_RETURN_NOT_OK(pager_->Read(e->page_id, scratch.get()));
+      HAZY_ASSIGN_OR_RETURN(e->lsn, wal_->AppendBeforeImage(e->page_id, scratch.get()));
+    }
+    max_lsn = std::max(max_lsn, e->lsn);
   }
-  HAZY_RETURN_NOT_OK(pager_->Write(frame.page_id, frame.data.get()));
-  stats_.dirty_writebacks.fetch_add(1, std::memory_order_relaxed);
-  frame.dirty = false;
+  // Phase 2: ONE coalesced fsync makes every protecting record durable.
+  if (wal_ != nullptr && max_lsn > 0) {
+    HAZY_RETURN_NOT_OK(wal_->EnsureDurable(max_lsn));
+  }
+  // Phase 3: the page writes themselves, LSN-stamped.
+  for (const EntryPtr& e : batch) {
+    if (wal_ != nullptr) SetPageLsn(e->data.get(), e->lsn);
+    HAZY_RETURN_NOT_OK(pager_->Write(e->page_id, e->data.get()));
+    ++*written;
+    stats_.dirty_writebacks.fetch_add(1, std::memory_order_relaxed);
+  }
   return Status::OK();
 }
 
@@ -263,8 +262,15 @@ StatusOr<PageHandle> BufferPool::Fetch(uint32_t page_id) {
 
 StatusOr<PageHandle> BufferPool::New() {
   MutexLock lock(mu_);
-  HAZY_ASSIGN_OR_RETURN(uint32_t page_id, pager_->Allocate());
+  // Frame first, page second: a New that finds no frame (all pinned, or a
+  // failed eviction write-back) must not orphan a freshly allocated page.
   HAZY_ASSIGN_OR_RETURN(size_t f, GetVictim());
+  StatusOr<uint32_t> allocated = pager_->Allocate();
+  if (!allocated.ok()) {
+    free_frames_.push_back(f);
+    return allocated.status();
+  }
+  const uint32_t page_id = *allocated;
   Frame& frame = frames_[f];
   std::memset(frame.data.get(), 0, kPageSize);
   frame.page_id = page_id;
@@ -290,9 +296,9 @@ Status BufferPool::DrainWriteQueueLocked() {
     }
     if (writer_ != nullptr) {
       writer_cv_.NotifyAll();
-      // The writer can be stopped while we wait (PRAGMA bg_writer = off);
-      // the wait must escape then, so the loop can fall through to the
-      // inline drain instead of sleeping on a thread that is gone.
+      // The writer can be stopped while we wait (StopBackgroundWriter); the
+      // wait must escape then, so the loop can fall through to the inline
+      // drain instead of sleeping on a thread that is gone.
       while (!((write_queue_.empty() && writing_count_ == 0) ||
                writer_stalled_ || writer_ == nullptr)) {
         writeback_cv_.Wait(mu_);
@@ -316,21 +322,13 @@ Status BufferPool::DrainWriteQueueLocked() {
       if (writing_count_ > 0) writeback_cv_.Wait(mu_);
       continue;
     }
-    mu_.Unlock();
-    Status s = WritePendingBatch(&batch);
-    mu_.Lock();
-    CompleteBatchLocked(&batch, s);
+    Status s = RetireBatchLocked(&batch);
     if (!s.ok()) {
       writer_stalled_ = false;
       writer_error_ = Status::OK();
       return s;
     }
   }
-}
-
-Status BufferPool::DrainWriteQueue() {
-  MutexLock lock(mu_);
-  return DrainWriteQueueLocked();
 }
 
 void BufferPool::PopBatchLocked(size_t limit,
@@ -345,43 +343,18 @@ void BufferPool::PopBatchLocked(size_t limit,
   }
 }
 
-Status BufferPool::WritePendingBatch(std::vector<std::unique_ptr<PendingWrite>>* batch) {
-  // Phase 1: before-images for every first-dirty page of the batch. These
-  // are buffered appends — no fsync yet.
-  static thread_local std::unique_ptr<char[]> scratch;
-  if (!scratch) scratch = std::unique_ptr<char[]>(new char[kPageSize]);
-  uint64_t max_lsn = 0;
-  for (auto& pw : *batch) {
-    if (wal_ != nullptr && !wal_->PageLogged(pw->page_id)) {
-      HAZY_RETURN_NOT_OK(pager_->Read(pw->page_id, scratch.get()));
-      HAZY_ASSIGN_OR_RETURN(uint64_t lsn,
-                            wal_->AppendBeforeImage(pw->page_id, scratch.get()));
-      pw->lsn = lsn;
-    }
-    max_lsn = std::max(max_lsn, pw->lsn);
-  }
-  // Phase 2: ONE coalesced fsync makes every protecting record durable.
-  if (wal_ != nullptr && max_lsn > 0) {
-    HAZY_RETURN_NOT_OK(wal_->EnsureDurable(max_lsn));
-  }
-  // Phase 3: the page writes themselves, LSN-stamped.
-  for (auto& pw : *batch) {
-    if (wal_ != nullptr) SetPageLsn(pw->data.get(), pw->lsn);
-    HAZY_RETURN_NOT_OK(pager_->Write(pw->page_id, pw->data.get()));
-    pw->done = true;
-    stats_.dirty_writebacks.fetch_add(1, std::memory_order_relaxed);
-  }
-  return Status::OK();
-}
-
-void BufferPool::CompleteBatchLocked(std::vector<std::unique_ptr<PendingWrite>>* batch,
-                                     const Status& s) {
-  // Failed entries go back to the queue front (order preserved) so nothing
-  // is lost while the process lives; Fetch can still reclaim them.
-  for (auto it = batch->rbegin(); it != batch->rend(); ++it) {
-    auto& pw = *it;
+Status BufferPool::RetireBatchLocked(std::vector<std::unique_ptr<PendingWrite>>* batch) {
+  size_t written = 0;
+  mu_.Unlock();
+  Status s = WriteBatch(*batch, &written);
+  mu_.Lock();
+  // Entries that did not land go back to the queue front (order preserved)
+  // so nothing is lost while the process lives; Fetch can still reclaim
+  // them.
+  for (size_t i = batch->size(); i-- > 0;) {
+    auto& pw = (*batch)[i];
     --writing_count_;
-    if (pw->done) {
+    if (i < written) {
       pending_pages_.erase(pw->page_id);
       RecycleBufferLocked(std::move(pw->data));
     } else {
@@ -395,6 +368,7 @@ void BufferPool::CompleteBatchLocked(std::vector<std::unique_ptr<PendingWrite>>*
     writer_stalled_ = true;
   }
   writeback_cv_.NotifyAll();
+  return s;
 }
 
 bool BufferPool::WriterHasWorkLocked() const {
@@ -419,9 +393,8 @@ Status BufferPool::FlushImpl(bool include_pinned) {
   // Dirty frames are flushed in bounded chunks: pinning the whole dirty set
   // at once could leave a concurrent fetcher with no victim at all (an
   // update sweep dirties nearly every frame), and the flush must never
-  // starve foreground faults. Each chunk follows the same batched
-  // discipline as the writer — log the missing before-images, ONE coalesced
-  // EnsureDurable, then the page writes — never an fsync under the mutex.
+  // starve foreground faults. Each chunk goes through WriteBatch, like a
+  // queue batch — never an fsync under the mutex.
   const size_t chunk_max =
       std::max<size_t>(1, std::min<size_t>(64, frames_.size() / 4));
   std::vector<size_t> dirty;
@@ -429,7 +402,6 @@ Status BufferPool::FlushImpl(bool include_pinned) {
   // resizes; a `flushing` frame is pinned and cannot move or be recycled).
   std::vector<Frame*> chunk_frames;
   std::vector<uint64_t> gens;
-  std::vector<bool> wrote;
   // A caller at a quiesced point (checkpoint under the statement mutex)
   // converges in two passes: pass 1 flushes every dirty frame and drains
   // whatever the writer detached meanwhile; pass 2 verifies nothing is
@@ -469,28 +441,8 @@ Status BufferPool::FlushImpl(bool include_pinned) {
       flushed += dirty.size();
       lock.Unlock();
 
-      Status s;
-      uint64_t max_lsn = 0;
-      for (Frame* frame : chunk_frames) {
-        s = LogBeforeImage(*frame);
-        if (!s.ok()) break;
-        max_lsn = std::max(max_lsn, frame->lsn);
-      }
-      if (s.ok() && wal_ != nullptr && max_lsn > 0) s = wal_->EnsureDurable(max_lsn);
-      wrote.assign(dirty.size(), false);
-      if (s.ok()) {
-        for (size_t i = 0; i < chunk_frames.size(); ++i) {
-          Frame& frame = *chunk_frames[i];
-          if (wal_ != nullptr) SetPageLsn(frame.data.get(), frame.lsn);
-          Status ws = pager_->Write(frame.page_id, frame.data.get());
-          if (!ws.ok()) {
-            s = ws;
-            break;
-          }
-          wrote[i] = true;
-          stats_.dirty_writebacks.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
+      size_t written = 0;
+      Status s = WriteBatch(chunk_frames, &written);
 
       lock.Lock();
       for (size_t i = 0; i < dirty.size(); ++i) {
@@ -499,7 +451,7 @@ Status BufferPool::FlushImpl(bool include_pinned) {
         // include_pinned mode, by this caller itself) keeps its dirty bit:
         // the torn on-disk image is WAL-protected and the frame will be
         // written again.
-        if (wrote[i] && frame.dirty_gen == gens[i]) frame.dirty = false;
+        if (i < written && frame.dirty_gen == gens[i]) frame.dirty = false;
         frame.flushing = false;
         UnpinLocked(dirty[i]);
       }
@@ -542,27 +494,6 @@ void BufferPool::FreePage(uint32_t page_id) {
   pager_->Free(page_id);
 }
 
-void BufferPool::EvictAll() {
-  HAZY_CHECK_OK(FlushAll());
-  MutexLock lock(mu_);
-  for (size_t f = 0; f < frames_.size(); ++f) {
-    Frame& frame = frames_[f];
-    if (frame.page_id == kInvalidPageId || frame.pin_count > 0) continue;
-    if (frame.dirty) {
-      // Re-dirtied between the flush and this lock (a racing background
-      // thread); write it back inline rather than dropping it.
-      HAZY_CHECK_OK(WriteBack(frame));
-    }
-    if (frame.in_lru) {
-      lru_.erase(frame.lru_it);
-      frame.in_lru = false;
-    }
-    page_table_.erase(frame.page_id);
-    frame.page_id = kInvalidPageId;
-    free_frames_.push_back(f);
-  }
-}
-
 void BufferPool::Unpin(size_t f) {
   MutexLock lock(mu_);
   UnpinLocked(f);
@@ -600,44 +531,47 @@ StatusOr<size_t> BufferPool::GetVictim() {
     }
     size_t f = lru_.back();
     Frame& frame = frames_[f];
-    if (frame.dirty && writer_ != nullptr) {
-      if (write_queue_.size() >= writer_options_.max_queue) {
-        // Backpressure: the writer is behind; wait for it to retire a batch
-        // rather than growing detached memory without bound.
-        writer_cv_.NotifyAll();
-        while (write_queue_.size() >= writer_options_.max_queue &&
-               writer_ != nullptr && !writer_stalled_) {
-          writeback_cv_.Wait(mu_);
-        }
-        if (writer_stalled_) {
-          // Fall through to the synchronous path below on the next pass so
-          // foreground progress (and error reporting) is preserved.
-          Status s = writer_error_;
-          writer_error_ = Status::OK();
-          writer_stalled_ = false;
-          if (!s.ok()) return s;
-        }
-        continue;  // state changed while waiting; re-evaluate from scratch
+    if (frame.dirty && write_queue_.size() >= writer_options_.max_queue) {
+      // Backpressure: retire queued work rather than growing detached
+      // memory without bound. Without a writer the queue holds only pages
+      // whose inline write failed before; draining retries them.
+      if (writer_ == nullptr) {
+        HAZY_RETURN_NOT_OK(DrainWriteQueueLocked());
+        continue;
       }
-      lru_.pop_back();
-      frame.in_lru = false;
-      stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-      DetachToWriteQueueLocked(frame);
-      frame.data = TakeBufferLocked();
-      return f;
+      writer_cv_.NotifyAll();
+      while (write_queue_.size() >= writer_options_.max_queue &&
+             writer_ != nullptr && !writer_stalled_) {
+        writeback_cv_.Wait(mu_);
+      }
+      if (writer_stalled_) {
+        Status s = writer_error_;
+        writer_error_ = Status::OK();
+        writer_stalled_ = false;
+        if (!s.ok()) return s;
+      }
+      continue;  // state changed while waiting; re-evaluate from scratch
     }
     lru_.pop_back();
     frame.in_lru = false;
     stats_.evictions.fetch_add(1, std::memory_order_relaxed);
-    if (frame.dirty) {
-      // Synchronous mode: image + fsync + write inline (the pre-writer
-      // behavior, kept as the bench baseline).
-      obs::TraceEventTimer evict_timer(obs::SpanKind::kPoolEvict);
-      HAZY_RETURN_NOT_OK(WriteBack(frame));
+    if (!frame.dirty) {
+      page_table_.erase(frame.page_id);
+      frame.page_id = kInvalidPageId;
+      return f;
     }
-    page_table_.erase(frame.page_id);
-    frame.page_id = kInvalidPageId;
-    frame.dirty = false;
+    DetachToWriteQueueLocked(frame);
+    frame.data = TakeBufferLocked();
+    if (writer_ == nullptr) {
+      // No writer thread: this thread retires the page itself, with mu_
+      // released, so it is in the file before the frame is reused.
+      obs::TraceEventTimer evict_timer(obs::SpanKind::kPoolEvict);
+      Status s = DrainWriteQueueLocked();
+      if (!s.ok()) {
+        free_frames_.push_back(f);
+        return s;
+      }
+    }
     return f;
   }
 }
@@ -670,26 +604,9 @@ void BufferPool::StopBackgroundWriter() {
     writer = std::move(writer_);
   }
   // Joining outside mu_: the thread needs the mutex to observe the stop
-  // flag and exit. Queued buffers stay pending (crash semantics; FlushAll
-  // or reclaim picks them up).
+  // flag and exit. Queued buffers stay pending; reclaim, the next inline
+  // drain or FlushAll picks them up.
   writer->Stop();
-}
-
-bool BufferPool::background_writer_running() const {
-  MutexLock lock(mu_);
-  return writer_ != nullptr;
-}
-
-void BufferPool::SetWriterBatchPages(size_t n) {
-  MutexLock lock(mu_);
-  writer_options_.batch_pages = std::max<size_t>(1, n);
-  writer_options_.max_queue =
-      std::max(writer_options_.max_queue, writer_options_.batch_pages);
-}
-
-BgWriterOptions BufferPool::writer_options() const {
-  MutexLock lock(mu_);
-  return writer_options_;
 }
 
 }  // namespace hazy::storage

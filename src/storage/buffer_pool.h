@@ -11,24 +11,28 @@
 // after the log is durable past that LSN — with the LSN stamped into the
 // page footer (storage/page.h) as it goes out.
 //
-// Write-back runs in one of two modes:
+// Every dirty page reaches the file through one path: eviction *detaches*
+// the frame's buffer onto a write queue and recycles the frame, and the
+// queue is retired in batches with the pool mutex released — the missing
+// before-images logged, ONE Wal::EnsureDurable per batch, then the
+// LSN-stamped page writes (WriteBatch, which the flushes share). Who
+// retires the queue:
 //
-//   synchronous   (default) an evicted dirty frame is imaged, EnsureDurable'd
-//                 and written inline, under the pool mutex — simple, but
-//                 write-heavy out-of-core workloads pay one fsync per evicted
-//                 page on the faulting thread.
+//   the writer    (StartBackgroundWriter, storage/bg_writer.h) a background
+//                 thread batches it off the foreground path and keeps a
+//                 low-water target of free frames stocked ahead of demand,
+//                 so foreground faults never block on the I/O of unrelated
+//                 pages;
 //
-//   asynchronous  (StartBackgroundWriter, storage/bg_writer.h) eviction
-//                 *detaches* the dirty frame's buffer onto a write queue and
-//                 recycles the frame immediately; a background writer batches
-//                 before-image logging and coalesces Wal::EnsureDurable into
-//                 one fsync per batch, entirely outside the pool mutex. The
-//                 writer also keeps a low-water target of free frames stocked
-//                 ahead of demand, so foreground faults never block on the
-//                 I/O of unrelated pages. A fetch of a page whose buffer is
-//                 still queued reclaims the buffer directly (no disk read,
-//                 no lost update); a fetch racing the in-flight write waits
-//                 for it and then reads the file.
+//   the evictor   when no writer runs (recovery before the database starts
+//                 its services, pools built without one, after
+//                 StopBackgroundWriter), the evicting thread drains the
+//                 queue inline before GetVictim returns, so the evicted page
+//                 is in the file when its frame is reused.
+//
+// A fetch of a page whose buffer is still queued reclaims the buffer
+// directly (no disk read, no lost update); a fetch racing the in-flight
+// write waits for it and then reads the file.
 //
 // Lock discipline (checked by clang thread-safety analysis): every container
 // and Frame slot is GUARDED_BY(mu_). Unlocked access to frame *bytes* is
@@ -103,7 +107,9 @@ struct BufferPoolStats {
   double HitRate() const { return Snapshot().HitRate(); }
 };
 
-/// Tuning for the background write-back thread (storage/bg_writer.h).
+/// Tuning for the write queue and its background thread
+/// (storage/bg_writer.h), set by StartBackgroundWriter; a pool without a
+/// writer drains its queue inline under the defaults.
 struct BgWriterOptions {
   /// Max dirty pages per write-back batch; each batch costs at most one
   /// wal fsync (Wal::EnsureDurable coalesced over the batch).
@@ -112,7 +118,8 @@ struct BgWriterOptions {
   /// demand (clamped to a quarter of the pool's capacity).
   size_t free_target = 16;
   /// Max detached dirty buffers awaiting write-back; evictions beyond this
-  /// apply backpressure (wait for the writer) instead of growing memory.
+  /// apply backpressure (wait for the writer, or retry the queue inline
+  /// without one) instead of growing memory.
   size_t max_queue = 256;
   /// Every N batches the writer fdatasyncs the database file (0 = never):
   /// continuously draining the OS write-back debt in the background keeps
@@ -167,9 +174,8 @@ class PageHandle {
 /// marked io-in-progress and pinned so it cannot be victimized), so faults
 /// on distinct pages overlap their disk I/O instead of serializing —
 /// out-of-core striped scans fault in parallel. Concurrent fetches of the
-/// *same* missing page wait on the in-flight read. With the background
-/// writer attached, eviction write-back and its fsync leave the mutex too
-/// (see the mode description above).
+/// *same* missing page wait on the in-flight read. Eviction write-back and
+/// its fsync leave the mutex too (see the write queue described above).
 class BufferPool {
  public:
   /// `capacity` is the number of resident frames (capacity * 8 KiB bytes).
@@ -200,29 +206,16 @@ class BufferPool {
   /// to the pager's free list. Cancels any pending write-back of the page.
   void FreePage(uint32_t page_id) EXCLUDES(mu_);
 
-  /// Drops every unpinned frame without freeing pages — simulates a cold
-  /// cache for benchmarks. Flushes (FlushAll) first.
-  void EvictAll() EXCLUDES(mu_, flush_mu_);
-
-  /// Starts the asynchronous write-back thread. Evictions detach dirty
-  /// buffers to it instead of writing inline.
+  /// Starts the background write-back thread: evictions leave their dirty
+  /// buffers on the queue for it instead of draining the queue inline.
   Status StartBackgroundWriter(const BgWriterOptions& options = {})
       EXCLUDES(mu_);
 
-  /// Stops (joins) the writer thread. Buffers still queued are NOT written —
-  /// they stay reclaimable by Fetch and are flushed by the next FlushAll,
-  /// mirroring crash semantics (the WAL protects their contents).
+  /// Stops (joins) the writer thread. Buffers still queued are NOT written
+  /// here — they stay reclaimable by Fetch and go out with the next
+  /// eviction's inline drain or FlushAll (the WAL protects their contents,
+  /// as for any dirty frame).
   void StopBackgroundWriter() EXCLUDES(mu_);
-
-  bool background_writer_running() const EXCLUDES(mu_);
-
-  /// Blocks until the pending write-back queue is empty (writing it inline
-  /// when no writer thread is running). Surfaces any deferred writer error.
-  Status DrainWriteQueue() EXCLUDES(mu_);
-
-  /// Runtime knob (PRAGMA writer_batch_pages).
-  void SetWriterBatchPages(size_t n) EXCLUDES(mu_);
-  BgWriterOptions writer_options() const EXCLUDES(mu_);
 
   /// Attaches the write-ahead log (nullptr to detach). The pool logs
   /// first-dirty before-images through it and orders write-backs behind its
@@ -261,7 +254,6 @@ class BufferPool {
     uint64_t lsn = 0;      // protecting LSN if the before-image exists already
     bool writing = false;  // popped by the writer; I/O may be in flight
     bool canceled = false; // reclaimed/freed while queued; writer drops it
-    bool done = false;     // page write reached the file
     std::unique_ptr<char[]> data;
   };
 
@@ -275,20 +267,12 @@ class BufferPool {
   void UnpinLocked(size_t frame) REQUIRES(mu_);
   void MarkDirtyFrame(size_t frame) EXCLUDES(mu_);
 
-  /// Logs the page's on-disk (checkpoint-time) image if this epoch hasn't
-  /// yet; records the protecting LSN in the frame. The frame must be pinned
-  /// or otherwise unevictable; the pool mutex is NOT required (pager reads
-  /// and wal appends synchronize themselves).
-  Status LogBeforeImage(Frame& frame);
-
-  /// Synchronous-mode write-back: image + EnsureDurable + pager write of one
-  /// dirty frame. Caller holds mu_ (pre-writer legacy path and benches).
-  Status WriteBack(Frame& frame) REQUIRES(mu_);
-
   /// Finds a frame to host a new page: a never-used frame, else LRU victim.
-  /// With the writer running, a dirty victim is detached to the write queue
-  /// instead of being written inline (waiting — with mu_ released — for
-  /// queue space if the writer is behind; callers must re-validate state).
+  /// A dirty victim is detached to the write queue, which is then drained
+  /// inline when no writer thread runs; with a writer, a full queue waits
+  /// for space. Either releases mu_, so callers must re-validate state. A
+  /// failed inline write-back puts the frame back on the free list (the
+  /// page stays queued) and returns the error.
   StatusOr<size_t> GetVictim() REQUIRES(mu_);
 
   /// Detaches the (unpinned, off-LRU) dirty frame's buffer onto the write
@@ -296,16 +280,23 @@ class BufferPool {
   /// queue space.
   void DetachToWriteQueueLocked(Frame& frame) REQUIRES(mu_);
 
-  /// Writes one popped batch out: before-images for first-dirty pages, ONE
-  /// Wal::EnsureDurable over the batch, then the page writes (LSN-stamped).
-  /// Runs WITHOUT the pool mutex; marks each entry done as it lands.
-  Status WritePendingBatch(std::vector<std::unique_ptr<PendingWrite>>* batch)
+  /// The write-ahead rule, applied to one batch of dirty pages — popped
+  /// queue entries or FlushImpl's latched frames (both carry page_id, lsn
+  /// and data): log the checkpoint-time image of every page first dirtied
+  /// since the checkpoint, make the log durable with ONE Wal::EnsureDurable,
+  /// then write each page with its protecting LSN stamped into the footer.
+  /// Runs WITHOUT the pool mutex. `*written` counts the leading entries
+  /// that reached the file.
+  template <typename EntryPtr>
+  Status WriteBatch(const std::vector<EntryPtr>& batch, size_t* written)
       EXCLUDES(mu_);
 
-  /// Re-integrates a processed batch under mu_: completed entries leave the
-  /// pending map and recycle their buffers; failed ones are re-queued.
-  void CompleteBatchLocked(std::vector<std::unique_ptr<PendingWrite>>* batch,
-                           const Status& s) REQUIRES(mu_);
+  /// Writes a popped batch with mu_ released, then re-integrates it:
+  /// written entries leave the pending map and recycle their buffers, the
+  /// rest go back to the queue front and the error stalls the writer. The
+  /// single retire step of the writer thread and the inline drain.
+  Status RetireBatchLocked(std::vector<std::unique_ptr<PendingWrite>>* batch)
+      REQUIRES(mu_);
 
   /// True when the queue holds work or the free-frame stock is low.
   bool WriterHasWorkLocked() const REQUIRES(mu_);
@@ -326,8 +317,8 @@ class BufferPool {
   std::unique_ptr<char[]> TakeBufferLocked() REQUIRES(mu_);
   void RecycleBufferLocked(std::unique_ptr<char[]> buf) REQUIRES(mu_);
 
-  Mutex flush_mu_ ACQUIRED_BEFORE(mu_);  // serializes FlushAll/EvictAll bodies
-  mutable Mutex mu_;
+  Mutex flush_mu_ ACQUIRED_BEFORE(mu_);  // serializes FlushImpl bodies
+  Mutex mu_;
   CondVar io_cv_;
   CondVar writer_cv_;     // wakes the writer thread
   CondVar writeback_cv_;  // wakes drain/backpressure/reclaim waiters

@@ -1,8 +1,10 @@
 // Tests for the asynchronous write-back subsystem (storage/bg_writer.h):
 // detach-on-evict, reclaim of queued buffers, drain/flush interaction, the
 // free-frame low-water stock, multi-threaded stress over disjoint pages,
-// and the headline property — no fsync is ever issued under the pool mutex
-// (a blocked WAL fsync must not block an unrelated pool operation).
+// the inline write-back of a pool without a writer (and its error path),
+// and the headline property — no fsync is ever issued under the pool mutex,
+// with or without a writer (a blocked WAL fsync must not block an unrelated
+// pool operation).
 //
 // Pages allocated after a checkpoint are exempt from before-imaging, so the
 // fixture seals an "epoch" first (flush + WAL reset): every page then counts
@@ -70,6 +72,79 @@ class BgWriterTest : public ::testing::Test {
     uint32_t got = 0;
     std::memcpy(&got, data + 1, sizeof(got));
     return data[0] == tag && got == pid;
+  }
+
+  /// While the WAL fsync of a write-back batch is in flight (here: blocked
+  /// for 300 ms), a fetch of a resident page must complete immediately. If
+  /// the fsync were issued under the pool mutex, the probe would block for
+  /// the full stall. With a writer the writer thread's batch fsync stalls;
+  /// without one, the churning thread's own eviction does.
+  void CheckNoFsyncUnderThePoolMutex(bool with_writer) {
+    BufferPool pool(&pager_, 8);
+    pool.SetWal(&wal_);
+    if (with_writer) {
+      BgWriterOptions opts;
+      opts.batch_pages = 2;
+      ASSERT_TRUE(pool.StartBackgroundWriter(opts).ok());
+    }
+    std::vector<uint32_t> pids = SealedPages(&pool, 24, 'A');
+
+    std::mutex mu;
+    std::condition_variable cv;
+    bool release = false;
+    std::atomic<int> in_sync{0};
+    wal_.SetFaultHook([&](const char* op, uint32_t) -> int {
+      if (std::string_view(op) != "wal_sync") return kFaultNone;
+      ++in_sync;
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait_for(lock, std::chrono::milliseconds(300), [&] { return release; });
+      return kFaultNone;
+    });
+
+    // Re-dirty every page through the 8-frame pool, so dirty pages are
+    // evicted and owe their before-images an fsync. Without a writer the
+    // first eight fetches evict clean sealed pages and the ninth evicts
+    // dirty pids[0], stalling this thread in its fsync.
+    std::atomic<int> churn_failures{0};
+    std::thread churn([&] {
+      for (uint32_t pid : pids) {
+        auto h = pool.Fetch(pid);
+        if (!h.ok()) {
+          ++churn_failures;
+          return;
+        }
+        Stamp(h->data(), pid, 'S');
+        h->MarkDirty();
+      }
+    });
+    for (int i = 0; i < 1000 && in_sync.load() == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GT(in_sync.load(), 0) << "no write-back ever fsynced";
+
+    // Probe pids[7]: dirtied before the stalled eviction and never part of
+    // the stalled batch (whose own pages legitimately wait for their
+    // write), so it is resident or, with a writer, reclaimable.
+    auto t0 = std::chrono::steady_clock::now();
+    auto probe = std::async(std::launch::async, [&] {
+      auto h = pool.Fetch(pids[7]);
+      return h.status();
+    });
+    EXPECT_EQ(probe.wait_for(std::chrono::milliseconds(250)), std::future_status::ready)
+        << "a pool fetch blocked behind the WAL fsync";
+    EXPECT_TRUE(probe.get().ok());
+    auto elapsed = std::chrono::steady_clock::now() - t0;
+    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 250);
+
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      release = true;
+    }
+    cv.notify_all();
+    churn.join();
+    EXPECT_EQ(churn_failures.load(), 0);
+    ASSERT_TRUE(pool.FlushAll().ok());
+    wal_.SetFaultHook(nullptr);
   }
 
   std::string path_, wal_path_;
@@ -168,62 +243,119 @@ TEST_F(BgWriterTest, QueuedPageIsReclaimedWithoutTouchingDisk) {
 }
 
 TEST_F(BgWriterTest, NoFsyncUnderThePoolMutex) {
-  // The satellite property: while the WAL fsync of a write-back batch is in
-  // flight (here: blocked for 300 ms), unrelated pool operations must
-  // complete immediately. If the fsync were issued under the pool mutex,
-  // the probe below would block for the full stall.
-  BufferPool pool(&pager_, 8);
+  CheckNoFsyncUnderThePoolMutex(/*with_writer=*/true);
+}
+
+TEST_F(BgWriterTest, NoFsyncUnderThePoolMutexWithoutWriter) {
+  // No writer thread: the fetch that evicts a dirty page retires it inline
+  // and stalls in that fsync itself, but with the pool mutex released.
+  CheckNoFsyncUnderThePoolMutex(/*with_writer=*/false);
+}
+
+TEST_F(BgWriterTest, FailedInlineWriteBackKeepsTheFrameAndTheBytes) {
+  // No writer thread: an eviction whose inline write-back fails reports
+  // the error to its caller, returns the victim's frame to the free list,
+  // and leaves the page's new bytes queued until a later write succeeds.
+  BufferPool pool(&pager_, 4);
   pool.SetWal(&wal_);
-  BgWriterOptions opts;
-  opts.batch_pages = 2;
-  ASSERT_TRUE(pool.StartBackgroundWriter(opts).ok());
-  std::vector<uint32_t> pids = SealedPages(&pool, 24, 'A');
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  std::atomic<int> in_sync{0};
-  wal_.SetFaultHook([&](const char* op, uint32_t) -> int {
-    if (std::string_view(op) != "wal_sync") return kFaultNone;
-    ++in_sync;
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait_for(lock, std::chrono::milliseconds(300), [&] { return release; });
-    return kFaultNone;
-  });
-
-  for (uint32_t pid : pids) {
-    auto h = pool.Fetch(pid);
+  std::vector<uint32_t> pids = SealedPages(&pool, 8, 'A');
+  // pids[4..7] are resident; re-dirty them so every eviction owes the log
+  // a before-image and an fsync.
+  for (int i = 4; i < 8; ++i) {
+    auto h = pool.Fetch(pids[i]);
     ASSERT_TRUE(h.ok());
-    Stamp(h->data(), pid, 'S');
+    Stamp(h->data(), pids[i], 'E');
     h->MarkDirty();
   }
-  for (int i = 0; i < 1000 && in_sync.load() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_GT(in_sync.load(), 0) << "writer never fsynced";
+  // Pins capacity() distinct pages at once: possible only if no failed
+  // eviction lost its frame. Reads still work while a write fault is armed.
+  auto pin_capacity = [&](const std::vector<uint32_t>& pages) {
+    ASSERT_EQ(pages.size(), pool.capacity());
+    std::vector<PageHandle> pins;
+    for (uint32_t pid : pages) {
+      auto h = pool.Fetch(pid);
+      ASSERT_TRUE(h.ok()) << "page " << pid << ": " << h.status().ToString();
+      pins.push_back(std::move(*h));
+    }
+  };
 
-  // Probe: a fetch while the fsync is blocked — hit, reclaim or miss, it
-  // must not wait out the stall. (A fetch of a page in the in-flight batch
-  // itself legitimately waits for its own write; probe one far from the
-  // batch head.)
-  auto t0 = std::chrono::steady_clock::now();
-  auto probe = std::async(std::launch::async, [&] {
-    auto h = pool.Fetch(pids[22]);
-    return h.status();
+  // A failing WAL fsync: the Fetch whose eviction (of pids[4]) hits it
+  // reports it, and the frame is back on the free list.
+  wal_.SetFaultHook([](const char* op, uint32_t) -> int {
+    return std::string_view(op) == "wal_sync" ? kFaultFail : kFaultNone;
   });
-  ASSERT_EQ(probe.wait_for(std::chrono::milliseconds(250)), std::future_status::ready)
-      << "a pool fetch blocked behind the WAL fsync";
-  EXPECT_TRUE(probe.get().ok());
-  auto elapsed = std::chrono::steady_clock::now() - t0;
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 250);
-
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  ASSERT_TRUE(pool.FlushAll().ok());
+  auto failed_fetch = pool.Fetch(pids[0]);
+  ASSERT_FALSE(failed_fetch.ok());
+  EXPECT_EQ(failed_fetch.status().code(), StatusCode::kIOError);
+  pin_capacity({pids[5], pids[6], pids[7], pids[0]});
   wal_.SetFaultHook(nullptr);
+
+  // A failing page write: the New whose eviction (of pids[5]) hits it
+  // reports it, allocates no page, and the frame is back again.
+  pager_.SetFaultHook([](const char* op, uint32_t) -> int {
+    return std::string_view(op) == "page_write" ? kFaultFail : kFaultNone;
+  });
+  const uint32_t pages_before = pager_.num_pages();
+  auto failed_new = pool.New();
+  ASSERT_FALSE(failed_new.ok());
+  EXPECT_EQ(failed_new.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(pager_.num_pages(), pages_before);
+  pin_capacity({pids[6], pids[7], pids[0], pids[1]});
+  pager_.SetFaultHook(nullptr);
+
+  // The evicted pages' new bytes survived in the queue: a fetch gets them
+  // back (the queue is retired by its own eviction first), FlushAll writes
+  // the rest, and a cold pool reads them all.
+  {
+    auto h = pool.Fetch(pids[4]);
+    ASSERT_TRUE(h.ok());
+    EXPECT_TRUE(CheckStamp(h->data(), pids[4], 'E'));
+  }
+  ASSERT_TRUE(pool.FlushAll().ok());
+  BufferPool cold(&pager_, 4);
+  for (int i = 4; i < 8; ++i) {
+    auto h = cold.Fetch(pids[i]);
+    ASSERT_TRUE(h.ok());
+    EXPECT_TRUE(CheckStamp(h->data(), pids[i], 'E')) << "page " << pids[i];
+  }
+}
+
+TEST_F(BgWriterTest, PersistentWriteFaultWithoutWriterEndsInErrors) {
+  // No writer and a page write that always fails: each dirty eviction
+  // fails and leaves its page queued until the queue is full, after which
+  // evictions retry the queue instead of growing it. Every call still ends
+  // in a Status, and once the fault clears nothing is lost.
+  BufferPool pool(&pager_, 2);
+  pool.SetWal(&wal_);
+  const size_t max_queue = BgWriterOptions{}.max_queue;
+  std::vector<uint32_t> pids =
+      SealedPages(&pool, static_cast<int>(2 * max_queue + 16), 'A');
+  pager_.SetFaultHook([](const char* op, uint32_t) -> int {
+    return std::string_view(op) == "page_write" ? kFaultFail : kFaultNone;
+  });
+  std::vector<char> tags(pids.size(), 'A');
+  size_t failures = 0;
+  for (size_t i = 0; i < pids.size(); ++i) {
+    auto h = pool.Fetch(pids[i]);
+    if (!h.ok()) {
+      EXPECT_EQ(h.status().code(), StatusCode::kIOError);
+      ++failures;
+      continue;
+    }
+    Stamp(h->data(), pids[i], 'F');
+    h->MarkDirty();
+    tags[i] = 'F';
+  }
+  EXPECT_GT(failures, max_queue);
+  pager_.SetFaultHook(nullptr);
+
+  ASSERT_TRUE(pool.FlushAll().ok());
+  BufferPool cold(&pager_, 2);
+  for (size_t i = 0; i < pids.size(); ++i) {
+    auto h = cold.Fetch(pids[i]);
+    ASSERT_TRUE(h.ok());
+    EXPECT_TRUE(CheckStamp(h->data(), pids[i], tags[i])) << "page " << pids[i];
+  }
 }
 
 TEST_F(BgWriterTest, StopAbandonsQueueButFlushAllDrainsItInline) {
@@ -256,7 +388,6 @@ TEST_F(BgWriterTest, StopAbandonsQueueButFlushAllDrainsItInline) {
   }
   cv.notify_all();
   pool.StopBackgroundWriter();
-  EXPECT_FALSE(pool.background_writer_running());
 
   // The inline drain (no writer thread) must persist everything.
   ASSERT_TRUE(pool.FlushAll().ok());

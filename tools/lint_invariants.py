@@ -7,9 +7,13 @@ balance:
 
   fsync-under-pool-mutex   No durable-I/O call (Wal::EnsureDurable,
                            Pager::Sync, fsync/fdatasync/pwrite) while the
-                           buffer-pool mutex is held. This is the PR 5
-                           invariant that keeps foreground faults from
-                           serializing behind another page's fsync.
+                           buffer-pool mutex is held: every write-back runs
+                           through the write queue with the mutex released,
+                           so foreground faults never serialize behind
+                           another page's fsync. The rule admits no
+                           exceptions — `lint:allow` markers are ignored, so
+                           a synchronous write-back under the mutex cannot
+                           come back annotated.
 
   gate-on-reactor-thread   No statement-mutex acquisition in code that runs
                            on the reactor thread (the epoll loop and the
@@ -46,8 +50,9 @@ balance:
                            must carry a comment (same line or the lines just
                            above) saying why dropping the status is correct.
 
-A finding can be suppressed with `// lint:allow <rule-name>` on the same
-line or the line above, which is itself the documentation.
+A finding of any other rule can be suppressed with
+`// lint:allow <rule-name>` on the same line or the line above, which is
+itself the documentation.
 
 Exit status 0 = clean, 1 = findings (printed as file:line: message).
 """
@@ -176,12 +181,10 @@ def check_fsync_under_pool_mutex():
                 if re.search(r"(?:\w+|mu_)\.Unlock\(\)", code):
                     depth -= 1
                 if depth > 0 and DURABLE_RE.search(code):
-                    if not allowed(lines, idx, "fsync-under-pool-mutex"):
-                        report(
-                            path, idx, "fsync-under-pool-mutex",
-                            f"durable I/O in {short} while the pool mutex "
-                            "is held",
-                        )
+                    report(
+                        path, idx, "fsync-under-pool-mutex",
+                        f"durable I/O in {short} while the pool mutex is held",
+                    )
                 # Scope exit of a MutexLock isn't tracked; conservative and
                 # fine here — these two files release explicitly around I/O.
 
