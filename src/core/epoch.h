@@ -207,7 +207,8 @@ class EpochStoreBuilder {
   std::shared_ptr<const EpochEntityStore> last_;
 };
 
-/// \brief RAII pin on an EpochSnapshot (see EpochManager::Pin).
+/// \brief RAII pin on an EpochSnapshot (see EpochManager::Pin). A null
+/// `mgr` holds an epoch no manager published, with nothing to unpin.
 class SnapshotPin {
  public:
   SnapshotPin() = default;

@@ -4,9 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <thread>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -64,42 +62,79 @@ Status ManagedView::PublishEpoch() {
 }
 
 Status ManagedView::PublishEpochNow() {
+  HAZY_ASSIGN_OR_RETURN(auto store, SealStore());
+  // Every view of a database shares view_defaults.holder_p (the per-view
+  // definition overrides only mode and loss).
+  epochs_.Publish(view_->model(), std::move(store),
+                  db_->options().view_defaults.holder_p);
+  epoch_publish_pending_ = false;
+  return Status::OK();
+}
+
+StatusOr<std::shared_ptr<const core::EpochEntityStore>> ManagedView::SealStore() {
   if (store_reset_pending_) {
     std::vector<core::Entity> ents;
     HAZY_RETURN_NOT_OK(view_->ExportEntities(&ents));
     store_builder_.ReplaceAll(std::move(ents));
     store_reset_pending_ = false;
   }
-  // Every view of a database shares view_defaults.holder_p (the per-view
-  // definition overrides only mode and loss).
-  epochs_.Publish(view_->model(), store_builder_.Seal(),
-                  db_->options().view_defaults.holder_p);
-  epoch_publish_pending_ = false;
-  return Status::OK();
+  return store_builder_.Seal();
+}
+
+StatusOr<core::SnapshotPin> ManagedView::ReadEpoch() {
+  // Flushing folds the pending trigger queue into the core view, so the
+  // reads are writers under the statement mutex. (Both places that build
+  // a ManagedView set db_.)
+  HAZY_RETURN_NOT_OK(Flush());
+  if (!epoch_publish_pending_) return epochs_.Pin();
+  HAZY_ASSIGN_OR_RETURN(auto store, SealStore());
+  // No manager: the epoch is private to this read and never published.
+  return core::SnapshotPin(
+      nullptr, std::make_shared<const core::EpochSnapshot>(
+                   /*epoch=*/0, view_->model(), std::move(store),
+                   db_->options().view_defaults.holder_p));
+}
+
+void ManagedView::RecordRead() const {
+  ++std::atomic_load(&view_)->mutable_stats()->single_reads;
+}
+
+void ManagedView::RecordRead(const core::ScanCounts& scan) const {
+  std::shared_ptr<core::ClassificationView> live = std::atomic_load(&view_);
+  core::ViewStats* stats = live->mutable_stats();
+  ++stats->all_members_queries;
+  // tuples_scanned counts the rows actually rescored; the rest were
+  // settled from their chunk's eps column by the water lines.
+  stats->tuples_scanned += scan.scored;
+  stats->rows_by_bounds += scan.by_bounds;
 }
 
 StatusOr<std::string> ManagedView::LabelOf(int64_t id) {
-  // View reads fold the pending trigger queue and may reorganize — they
-  // mutate view state, so they are writers under the statement mutex.
-  // (Both places that build a ManagedView set db_.)
   std::lock_guard<std::recursive_mutex> lock(*db_->statement_mutex());
-  HAZY_RETURN_NOT_OK(Flush());
-  HAZY_ASSIGN_OR_RETURN(int sign, view_->SingleEntityRead(id));
+  HAZY_ASSIGN_OR_RETURN(core::SnapshotPin snap, ReadEpoch());
+  RecordRead();
+  HAZY_ASSIGN_OR_RETURN(int sign, snap->SingleEntityRead(id));
   return LabelString(sign);
 }
 
 StatusOr<std::vector<int64_t>> ManagedView::MembersOf(const std::string& label) {
   std::lock_guard<std::recursive_mutex> lock(*db_->statement_mutex());
-  HAZY_RETURN_NOT_OK(Flush());
+  HAZY_ASSIGN_OR_RETURN(core::SnapshotPin snap, ReadEpoch());
   HAZY_ASSIGN_OR_RETURN(int sign, LabelSign(label));
-  return view_->AllMembers(sign);
+  core::ScanCounts counts;
+  HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids, snap->AllMembers(sign, &counts));
+  RecordRead(counts);
+  return ids;
 }
 
 StatusOr<uint64_t> ManagedView::CountOf(const std::string& label) {
   std::lock_guard<std::recursive_mutex> lock(*db_->statement_mutex());
-  HAZY_RETURN_NOT_OK(Flush());
+  HAZY_ASSIGN_OR_RETURN(core::SnapshotPin snap, ReadEpoch());
   HAZY_ASSIGN_OR_RETURN(int sign, LabelSign(label));
-  return view_->AllMembersCount(sign);
+  core::ScanCounts counts;
+  HAZY_ASSIGN_OR_RETURN(uint64_t n, snap->AllMembersCount(sign, &counts));
+  RecordRead(counts);
+  return n;
 }
 
 StatusOr<int> ManagedView::LabelSign(const std::string& label) const {
@@ -112,55 +147,33 @@ StatusOr<int> ManagedView::LabelSign(const std::string& label) const {
 Database::Database(DatabaseOptions options) : options_(std::move(options)) {}
 
 Database::~Database() {
-  // Collectors first: the registry must stop polling handles about to die.
-  UnregisterStatsCollectors();
-  // Background threads next: the daemon would checkpoint into (and the
-  // writer flush into) the file handles being torn down.
-  if (ckpt_daemon_) ckpt_daemon_->Stop();
-  if (pool_) pool_->StopBackgroundWriter();
-  if (pager_ && pager_->is_open()) pager_->Close().ok();
-  if (wal_ && wal_->is_open()) wal_->Close().ok();
-  if (owns_temp_file_ && !path_.empty()) {
-    ::unlink(path_.c_str());
-    ::unlink(storage::WalPathFor(path_).c_str());
-  }
+  ResetHandles();
+  RemoveOwnedFiles();
 }
 
 Status Database::Open() {
   if (pager_) return Status::InvalidArgument("database already open");
   Status s = OpenImpl();
   if (s.ok()) {
-    open_.store(true, std::memory_order_release);
-  } else {
-    // Leave the object closed and reusable; never leak a temp file created
-    // by a failed open.
-    UnregisterStatsCollectors();
-    if (ckpt_daemon_) ckpt_daemon_->Stop();
-    ckpt_daemon_.reset();
-    if (pool_) pool_->StopBackgroundWriter();
-    if (pager_ && pager_->is_open()) pager_->Close().ok();
-    if (wal_ && wal_->is_open()) wal_->Close().ok();
-    if (owns_temp_file_ && !path_.empty()) {
-      ::unlink(path_.c_str());
-      ::unlink(storage::WalPathFor(path_).c_str());
-    } else if (created_wal_file_ && !path_.empty()) {
-      // Never leave a stray -wal next to a file we refused to open.
-      ::unlink(storage::WalPathFor(path_).c_str());
-    }
-    {
-      MutexLock lock(views_mu_);
-      views_.clear();
-    }
-    catalog_.reset();
-    wal_.reset();
-    pool_.reset();
-    pager_.reset();
-    path_.clear();
-    owns_temp_file_ = false;
-    created_wal_file_ = false;
-    checkpoint_epoch_ = 0;
+    MarkOpen();
+    return s;
   }
+  // Leave the object closed and reusable; never leak a temp file created
+  // by a failed open.
+  ResetHandles();
+  RemoveOwnedFiles();
   return s;
+}
+
+void Database::RemoveOwnedFiles() {
+  if (owns_temp_file_) ::unlink(path_.c_str());
+  // Never leave a stray -wal next to a file we refused to open.
+  if (owns_temp_file_ || created_wal_file_) {
+    ::unlink(storage::WalPathFor(path_).c_str());
+  }
+  path_.clear();
+  owns_temp_file_ = false;
+  created_wal_file_ = false;
 }
 
 Status Database::OpenImpl() {
@@ -263,11 +276,12 @@ void Database::RegisterStatsCollectors() {
   stats_collectors_.push_back(obs::RegisterWalStats(wal_.get(), labels));
   stats_collectors_.push_back(obs::RegisterBufferPoolStats(pool_.get(), labels));
   stats_collectors_.push_back(obs::RegisterPagerStats(pager_.get(), labels));
-  for (ManagedView* mv : ViewListSnapshot()) {
+  const std::shared_ptr<const ViewList> list = views();
+  for (const auto& mv : *list) {
     // Provider, not pointer: delete/relabel rebuilds swap the inner view
     // object; the ManagedView wrapper is the stable identity.
     view_collectors_.push_back(obs::RegisterViewStats(
-        [p = mv]() { return p->view(); }, ViewLabel(mv->def())));
+        [p = mv.get()]() { return p->view(); }, ViewLabel(mv->def())));
   }
 }
 
@@ -503,8 +517,9 @@ StatusOr<ManagedView*> Database::AdoptView(std::unique_ptr<ManagedView> mv) {
   ManagedView* raw = mv.get();
   raw->epochs_.SetMetricLabels(ViewLabel(raw->def()));
   HAZY_RETURN_NOT_OK(raw->PublishEpochNow());
-  MutexLock lock(views_mu_);
-  views_.push_back(std::move(mv));
+  auto next = std::make_shared<ViewList>(*views());
+  next->push_back(std::move(mv));
+  std::atomic_store(&views_, std::shared_ptr<const ViewList>(std::move(next)));
   return raw;
 }
 
@@ -548,7 +563,8 @@ Status Database::EndUpdateBatch() {
   // triggers deferred is published explicitly — exactly one epoch per
   // outermost batch either way.
   Status first_error;
-  for (ManagedView* v : ViewListSnapshot()) {
+  const std::shared_ptr<const ViewList> list = views();
+  for (const auto& v : *list) {
     Status s = v->Flush();
     if (s.ok() && v->epoch_publish_pending_) s = v->PublishEpoch();
     if (!s.ok() && first_error.ok()) first_error = s;
@@ -731,8 +747,8 @@ Status Database::RebuildFromScratch(ManagedView* mv) {
     replay.push_back(ml::LabeledExample{id, *fit->second, sign});
   }
   HAZY_RETURN_NOT_OK(fresh->UpdateBatch(replay));
-  // Swap atomically: concurrent snapshot readers may hold a SharedView
-  // handle to the old object (it stays alive until they drop it).
+  // Swap atomically: a concurrent RecordRead may hold a handle to the old
+  // object (it stays alive until the reader drops it).
   std::atomic_store(&mv->view_,
                     std::shared_ptr<core::ClassificationView>(std::move(fresh)));
   // The entity set may have changed identity-wise; re-seed the snapshot
@@ -902,7 +918,8 @@ Status Database::CopyCompactInto(Database* fresh) {
   // same blobs a checkpoint writes and recovery reads.
   persist::ViewCheckpointer src_ckpt(this);
   persist::ViewCheckpointer dst_ckpt(fresh);
-  for (ManagedView* mv : ViewListSnapshot()) {
+  const std::shared_ptr<const ViewList> list = views();
+  for (const auto& mv : *list) {
     std::string blob;
     HAZY_RETURN_NOT_OK(src_ckpt.SerializeViewState(*mv, &blob));
     HAZY_RETURN_NOT_OK(dst_ckpt.RestoreViewFromBlob(blob));
@@ -911,17 +928,18 @@ Status Database::CopyCompactInto(Database* fresh) {
 }
 
 void Database::ResetHandles() {
-  // Flip closed before touching any handle: unserialized statement dispatch
-  // (the snapshot-read path) checks is_open() instead of racing catalog_.
+  // Flip closed before touching any handle.
   open_.store(false, std::memory_order_release);
+  // Collectors first: the registry must stop polling handles about to die.
   UnregisterStatsCollectors();
+  // Background threads next: the daemon would checkpoint into (and the
+  // writer flush into) the file handles being torn down.
   if (ckpt_daemon_) ckpt_daemon_->Stop();
   ckpt_daemon_.reset();
   if (pool_) pool_->StopBackgroundWriter();
-  {
-    MutexLock lock(views_mu_);
-    views_.clear();
-  }
+  // Readers that resolved a view before this keep it alive and finish on
+  // its epochs; new lookups miss and serialize behind the caller.
+  std::atomic_store(&views_, std::make_shared<const ViewList>());
   catalog_.reset();
   if (wal_ && wal_->is_open()) wal_->Close().ok();
   wal_.reset();
@@ -932,10 +950,10 @@ void Database::ResetHandles() {
 }
 
 Status Database::Compact() {
-  // The swap below invalidates every handle, and the refused-snapshot
-  // fallback path (sql/executor.cc) waits out the swap on the statement
-  // mutex — so the whole compaction must run under it. Acquired here rather
-  // than assumed of the caller: SQL VACUUM already holds it (recursive
+  // The swap below replaces every handle, and a statement whose view or
+  // table name misses during the swap waits it out on the statement mutex
+  // — so the whole compaction runs under it. Acquired here rather than
+  // assumed of the caller: SQL VACUUM already holds it (recursive
   // re-entry), and a direct API caller gets the same exclusion instead of
   // racing concurrent statements.
   std::lock_guard<std::recursive_mutex> stmt_lock(statement_mu_);
@@ -980,14 +998,8 @@ Status Database::Compact() {
   // the old complete database or the new complete one at path_; worst case
   // we come back up on whichever it is.
   const bool owns_temp = owns_temp_file_;
-  // Refuse new snapshot reads and drain the in-flight ones: they hold
-  // ManagedView pointers ResetHandles is about to free. Refused readers
-  // serialize behind the statement mutex (held for the whole compaction,
-  // see above) and re-resolve the view afterwards.
-  compacting_.store(true);
-  while (snapshot_readers_.load() != 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
+  // Readers hold their views by handle, so the teardown need not wait for
+  // them: the old views outlive the empty list ResetHandles publishes.
   ResetHandles();
   Status s;
   if (::rename(tmp_path.c_str(), path_.c_str()) != 0) {
@@ -1001,67 +1013,44 @@ Status Database::Compact() {
   }
   if (s.ok()) s = OpenImpl();
   if (s.ok()) {
-    open_.store(true, std::memory_order_release);
+    MarkOpen();
   } else {
     // Never leave a half-torn-down handle behind a returned error: recover
     // onto whatever complete database sits at path_, or close out cleanly
     // so every later call reports "database not open" instead of crashing.
     ResetHandles();
     if (OpenImpl().ok()) {
-      open_.store(true, std::memory_order_release);
+      MarkOpen();
     } else {
       ResetHandles();
     }
   }
   owns_temp_file_ = owns_temp;
-  compacting_.store(false);
   return s;
 }
 
-bool Database::TryEnterSnapshotRead() {
-  snapshot_readers_.fetch_add(1);
-  if (compacting_.load() || !is_open()) {
-    // Raced a VACUUM swap, or the database is closed/closing: back out so a
-    // compaction drain does not wait on us. The open_ check closes the
-    // teardown hole — Close flips open_ first, so a reader registering
-    // after that never resolves handles ResetHandles is about to free.
-    snapshot_readers_.fetch_sub(1);
-    return false;
+std::shared_ptr<ManagedView> Database::FindView(const std::string& name) const {
+  const std::shared_ptr<const ViewList> list = views();
+  for (const auto& v : *list) {
+    if (EqualsIgnoreCase(v->name(), name)) return v;
   }
-  return true;
-}
-
-void Database::LeaveSnapshotRead() { snapshot_readers_.fetch_sub(1); }
-
-std::vector<ManagedView*> Database::ViewListSnapshot() const {
-  MutexLock lock(views_mu_);
-  std::vector<ManagedView*> out;
-  out.reserve(views_.size());
-  for (const auto& v : views_) out.push_back(v.get());
-  return out;
+  return nullptr;
 }
 
 StatusOr<ManagedView*> Database::GetView(const std::string& name) const {
-  MutexLock lock(views_mu_);
-  for (const auto& v : views_) {
-    if (EqualsIgnoreCase(v->name(), name)) return v.get();
+  std::shared_ptr<ManagedView> v = FindView(name);
+  if (v == nullptr) {
+    return Status::NotFound(
+        StrFormat("no classification view named '%s'", name.c_str()));
   }
-  return Status::NotFound(StrFormat("no classification view named '%s'", name.c_str()));
-}
-
-bool Database::HasView(const std::string& name) const {
-  MutexLock lock(views_mu_);
-  for (const auto& v : views_) {
-    if (EqualsIgnoreCase(v->name(), name)) return true;
-  }
-  return false;
+  return v.get();
 }
 
 std::vector<std::string> Database::ViewNames() const {
-  MutexLock lock(views_mu_);
+  const std::shared_ptr<const ViewList> list = views();
   std::vector<std::string> out;
-  out.reserve(views_.size());
-  for (const auto& v : views_) out.push_back(v->name());
+  out.reserve(list->size());
+  for (const auto& v : *list) out.push_back(v->name());
   return out;
 }
 

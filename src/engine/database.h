@@ -7,14 +7,13 @@
 #ifndef HAZY_ENGINE_DATABASE_H_
 #define HAZY_ENGINE_DATABASE_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 #include "core/classifier_view.h"
 #include "core/epoch.h"
 #include "core/view_factory.h"
@@ -68,12 +67,8 @@ class ManagedView {
   core::ClassificationView* view() { return view_.get(); }
   const core::ClassificationView* view() const { return view_.get(); }
 
-  /// The live core view as a shared handle, for snapshot readers that
-  /// attribute stats/trace to it concurrently with the write side: the
-  /// handle keeps the object alive across a racing retrain swap.
-  std::shared_ptr<core::ClassificationView> SharedView() const {
-    return std::atomic_load(&view_);
-  }
+  // The engine-API reads: read-your-writes under the statement mutex,
+  // answered from epochs (ReadEpoch), never by the core view's read path.
 
   /// Label string of one entity under the current model.
   StatusOr<std::string> LabelOf(int64_t id);
@@ -83,6 +78,13 @@ class ManagedView {
 
   /// Count of entities with the given label string.
   StatusOr<uint64_t> CountOf(const std::string& label);
+
+  /// Books one read answered from an epoch in the live core view's stats
+  /// (relaxed cells, safe beside the writer; the shared handle survives a
+  /// racing retrain swap): a Single Entity read, or an All Members read
+  /// with its scored and bound-settled row counts.
+  void RecordRead() const;
+  void RecordRead(const core::ScanCounts& scan) const;
 
   /// The label strings, positive class first.
   const std::vector<std::string>& labels() const { return labels_; }
@@ -107,7 +109,8 @@ class ManagedView {
 
   /// Pins the latest published epoch for lock-free snapshot reads. Never
   /// empty for a view the database has adopted: AdoptView publishes the
-  /// first epoch before the view can be named.
+  /// first epoch before the view can be named. The pin points into this
+  /// view: hold its Database::FindView handle until the pin is released.
   core::SnapshotPin PinSnapshot() { return epochs_.Pin(); }
 
   /// The view's epoch machinery (tests and introspection).
@@ -128,13 +131,24 @@ class ManagedView {
   /// there would be quadratic).
   Status PublishEpoch();
 
-  /// The publish itself, batch or not: seeds the store builder from the
-  /// core view when a reset is pending, seals it, and publishes.
+  /// The publish itself, batch or not: publishes SealStore() under the
+  /// core view's current model.
   Status PublishEpochNow();
+
+  /// The current entity set as an immutable store: re-seeds the store
+  /// builder from the core view when a reset is pending, then seals it.
+  StatusOr<std::shared_ptr<const core::EpochEntityStore>> SealStore();
+
+  /// The epoch an engine-API read answers from, after Flush (statement
+  /// mutex held). Outside a batch every change publishes at once, so that
+  /// is the latest published epoch. Inside one the changes wait for
+  /// EndUpdateBatch, so it is an unpublished epoch over SealStore(): the
+  /// caller sees its own writes and SQL readers still do not.
+  StatusOr<core::SnapshotPin> ReadEpoch();
 
   ClassificationViewDef def_;
   std::unique_ptr<features::FeatureFunction> feature_fn_;
-  /// Shared (not unique) so SharedView readers survive the swap a
+  /// Shared (not unique) so RecordRead survives the swap a
   /// retrain-from-scratch performs; the swap itself uses std::atomic_store.
   std::shared_ptr<core::ClassificationView> view_;
   std::vector<std::string> labels_;  // [0] = positive, [1] = negative
@@ -204,9 +218,11 @@ class Database {
   /// VACUUM: checkpoints, then rewrites every live page into a fresh
   /// compacted file (tables copied row-by-row, views carried over
   /// bit-identically through their serialized state) and atomically swaps it
-  /// in, truncating away all fragmentation. Invalidates any Table* /
-  /// ManagedView* pointers previously handed out. The checkpoint epoch
-  /// restarts at 1 in the compacted lineage.
+  /// in, truncating away all fragmentation. The swap publishes an empty
+  /// view list, then the recovered views; it never waits for readers. A
+  /// reader holding a FindView handle finishes on the old view's epochs;
+  /// Table* and raw ManagedView* pointers handed out earlier are invalid.
+  /// The checkpoint epoch restarts at 1 in the compacted lineage.
   Status Compact();
 
   /// Epoch of the last durable checkpoint (0 = never checkpointed).
@@ -218,9 +234,8 @@ class Database {
   const std::string& path() const { return path_; }
 
   /// True between a successful Open and teardown (close, or a failed VACUUM
-  /// swap that could not recover). Atomic so statement dispatch can answer
-  /// "database is not open" without the statement mutex — the lock-free
-  /// snapshot-read path must not race ResetHandles by peeking at catalog().
+  /// swap that could not recover). Atomic so observers off the statement
+  /// mutex (the checkpoint daemon, tests) may read it.
   bool is_open() const { return open_.load(std::memory_order_acquire); }
 
   storage::Catalog* catalog() { return catalog_.get(); }
@@ -277,11 +292,22 @@ class Database {
   /// and wires the triggers that keep it maintained.
   StatusOr<ManagedView*> CreateClassificationView(const ClassificationViewDef& def);
 
-  /// Looks up a view by name (case-insensitive).
-  StatusOr<ManagedView*> GetView(const std::string& name) const
-      EXCLUDES(views_mu_);
-  bool HasView(const std::string& name) const EXCLUDES(views_mu_);
-  std::vector<std::string> ViewNames() const EXCLUDES(views_mu_);
+  /// An immutable list of the adopted views, published the way a view
+  /// publishes its epochs: readers load it with one atomic shared_ptr load
+  /// and no lock; the statement-serialized writers (AdoptView,
+  /// ResetHandles) replace it whole.
+  using ViewList = std::vector<std::shared_ptr<ManagedView>>;
+  std::shared_ptr<const ViewList> views() const { return std::atomic_load(&views_); }
+
+  /// The view named `name` (case-insensitive) in the published list, or
+  /// null. The handle keeps the view, and any epoch pinned from it, alive
+  /// across a VACUUM that replaces it in the list.
+  std::shared_ptr<ManagedView> FindView(const std::string& name) const;
+
+  /// FindView as a raw pointer, valid until the next VACUUM or close.
+  StatusOr<ManagedView*> GetView(const std::string& name) const;
+  bool HasView(const std::string& name) const { return FindView(name) != nullptr; }
+  std::vector<std::string> ViewNames() const;
 
   /// Enters batched-trigger mode: example-insert triggers queue their
   /// maintenance work instead of applying it per row, and the queue is
@@ -290,9 +316,9 @@ class Database {
   /// Inside the batch, SQL reads answer from the last published epoch, so
   /// they do not see the queued examples until the batch ends; the
   /// ManagedView engine-API reads (LabelOf/MembersOf/CountOf) flush the
-  /// view's queue first and do. The WAL groups the batch's mutations under
-  /// one commit marker so replay reproduces the batched fold boundaries
-  /// bit-exactly.
+  /// view's queue first and see them in a private, unpublished epoch. The
+  /// WAL groups the batch's mutations under one commit marker so replay
+  /// reproduces the batched fold boundaries bit-exactly.
   void BeginUpdateBatch();
 
   /// Leaves batched-trigger mode, flushing every view's queue when the
@@ -322,14 +348,6 @@ class Database {
     return batch_depth_.load(std::memory_order_relaxed) > 0;
   }
 
-  /// Registers a snapshot read that runs without the statement mutex.
-  /// Returns false while a VACUUM swap is in progress — the caller must
-  /// fall back to the serialized path (Compact invalidates the ManagedView
-  /// pointers a snapshot read holds, and it drains registered readers
-  /// before doing so). Prefer SnapshotReadScope.
-  bool TryEnterSnapshotRead();
-  void LeaveSnapshotRead();
-
  private:
   friend class persist::ViewCheckpointer;
 
@@ -357,28 +375,33 @@ class Database {
   /// checkpoints it (the compacted image).
   Status CopyCompactInto(Database* fresh);
 
-  /// Closes every handle (pager, wal, pool, catalog, views) without touching
-  /// any file — the in-place teardown Compact() uses before swapping files.
+  /// Closes every handle without touching any file, in order: registry
+  /// collectors, the checkpoint daemon, the background writer, the view
+  /// list (published empty) and catalog, then WAL, pool and pager. The
+  /// one teardown: Compact() runs it before swapping files, a failed Open
+  /// and the destructor before RemoveOwnedFiles.
   void ResetHandles();
+
+  /// Unlinks the temp file this database owns (with its -wal), or else a
+  /// -wal file the current Open created next to a file it then refused,
+  /// and forgets the path.
+  void RemoveOwnedFiles();
+
+  void MarkOpen() {
+    created_wal_file_ = false;
+    open_.store(true, std::memory_order_release);
+  }
 
   /// Registers the insert/update/delete triggers that keep `mv` maintained
   /// (shared by view creation and checkpoint recovery).
   Status ArmTriggers(ManagedView* mv);
 
-  /// Installs a fully built view into views_ (under views_mu_, so lock-free
-  /// readers resolving names never race the vector growing) after wiring
-  /// its epoch metric labels and publishing its first epoch — even inside
-  /// an update batch, since no reader can have seen the view yet. Every
-  /// view a reader can name thus has an epoch to answer from. Returns the
-  /// stable raw pointer; on error the view is dropped, never installed.
-  StatusOr<ManagedView*> AdoptView(std::unique_ptr<ManagedView> mv)
-      EXCLUDES(views_mu_);
-
-  /// Stable raw pointers to every installed view, copied under views_mu_.
-  /// Callers iterate the copy so callees may resolve names (GetView) without
-  /// self-deadlock; safe because DDL is statement-serialized and ManagedView
-  /// objects live until close.
-  std::vector<ManagedView*> ViewListSnapshot() const EXCLUDES(views_mu_);
+  /// Publishes a fully built view in a new view list after wiring its
+  /// epoch metric labels and publishing its first epoch — even inside an
+  /// update batch, since no reader can have seen the view yet. Every view
+  /// a reader can name thus has an epoch to answer from. Returns the raw
+  /// pointer; on error the view is dropped, never published.
+  StatusOr<ManagedView*> AdoptView(std::unique_ptr<ManagedView> mv);
 
   /// The core-view options a definition resolves to (defaults + DDL).
   core::ViewOptions EffectiveViewOptions(const ClassificationViewDef& def) const;
@@ -409,8 +432,9 @@ class Database {
   /// See statement_mutex().
   std::recursive_mutex statement_mu_;
   bool owns_temp_file_ = false;
-  /// True when this Open created the -wal sidecar file (so a failed open
-  /// can remove it instead of leaving a stray next to a foreign file).
+  /// True while an Open that created the -wal sidecar file has not yet
+  /// succeeded (so a failed open can remove it instead of leaving a stray
+  /// next to a foreign file). MarkOpen clears it.
   bool created_wal_file_ = false;
   /// Mutated under the statement mutex by Begin/EndUpdateBatch; atomic so
   /// the checkpoint daemon can peek without taking it.
@@ -421,52 +445,25 @@ class Database {
   std::atomic<int64_t> slow_statement_ms_{-1};
   /// Registry collector handles for the storage-layer stats (WAL, pool,
   /// pager) registered by Open and released by ResetHandles. View
-  /// collectors live in view_collectors_ keyed alongside views_.
+  /// collectors live in view_collectors_.
   std::vector<uint64_t> stats_collectors_;
   std::vector<uint64_t> view_collectors_;
   /// Advanced under the statement mutex by checkpoints; atomic so observers
   /// (tests, shell banners) can read it without the mutex.
   std::atomic<uint64_t> checkpoint_epoch_{0};
-  /// See is_open(): flipped true after a successful Open/OpenImpl, false at
-  /// the top of ResetHandles — always before the handles below are touched.
+  /// See is_open(): flipped true by MarkOpen, false at the top of
+  /// ResetHandles — always before the handles below are touched.
   std::atomic<bool> open_{false};
   std::unique_ptr<storage::Pager> pager_;
   std::unique_ptr<storage::BufferPool> pool_;
   std::unique_ptr<storage::Wal> wal_;
   std::unique_ptr<storage::Catalog> catalog_;
   std::unique_ptr<persist::CheckpointDaemon> ckpt_daemon_;
-  /// Guards views_ itself (the vector) against concurrent name resolution
-  /// from snapshot readers while DDL appends. The ManagedViews pointed to
-  /// are not covered — their mutable state stays under the statement
-  /// serialization, and snapshot reads touch only their epoch machinery.
-  mutable Mutex views_mu_;
-  std::vector<std::unique_ptr<ManagedView>> views_ GUARDED_BY(views_mu_);
-  /// Snapshot reads currently in flight outside the statement mutex, and
-  /// the VACUUM-in-progress flag that refuses new ones. seq_cst: the
-  /// enter/check on the reader and the set/drain on the compactor form a
-  /// store-load handshake.
-  std::atomic<int64_t> snapshot_readers_{0};
-  std::atomic<bool> compacting_{false};
-};
-
-/// \brief RAII registration of one snapshot read (see
-/// Database::TryEnterSnapshotRead). While active(), VACUUM cannot tear down
-/// the view objects the read is scanning.
-class SnapshotReadScope {
- public:
-  explicit SnapshotReadScope(Database* db)
-      : db_(db), active_(db != nullptr && db->TryEnterSnapshotRead()) {}
-  ~SnapshotReadScope() {
-    if (active_) db_->LeaveSnapshotRead();
-  }
-  SnapshotReadScope(const SnapshotReadScope&) = delete;
-  SnapshotReadScope& operator=(const SnapshotReadScope&) = delete;
-
-  bool active() const { return active_; }
-
- private:
-  Database* db_;
-  bool active_;
+  /// See views(). Accessed only through std::atomic_load/store, like
+  /// EpochManager::latest_. A ManagedView outlives its removal from the
+  /// list while a reader holds it: it owns no page handle, and its
+  /// destructor touches nothing of the database.
+  std::shared_ptr<const ViewList> views_ = std::make_shared<const ViewList>();
 };
 
 }  // namespace hazy::engine

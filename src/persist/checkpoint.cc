@@ -299,8 +299,9 @@ Status ViewCheckpointer::WriteViewRows(uint64_t epoch) {
                         db_->catalog_->GetTable(kViewsTableName));
   HAZY_ASSIGN_OR_RETURN(storage::Table * state_table,
                         db_->catalog_->GetTable(kViewStateTableName));
-  for (size_t i = 0; i < db_->views_.size(); ++i) {
-    const ManagedView& mv = *db_->views_[i];
+  const auto views = db_->views();
+  for (size_t i = 0; i < views->size(); ++i) {
+    const ManagedView& mv = *(*views)[i];
     const int64_t view_id = static_cast<int64_t>(i);
     const int64_t row_key = RowKeyFor(epoch, view_id);
 
@@ -432,11 +433,12 @@ Status ViewCheckpointer::FreeChain(uint32_t head) {
 }
 
 StatusOr<uint64_t> ViewCheckpointer::Checkpoint() {
-  if (db_->views_.size() > static_cast<size_t>(kMaxViewsPerDatabase)) {
+  const auto views = db_->views();
+  if (views->size() > static_cast<size_t>(kMaxViewsPerDatabase)) {
     return Status::ResourceExhausted("too many classification views to checkpoint");
   }
   // Queued trigger work must land in the views before their state is frozen.
-  for (const auto& mv : db_->views_) HAZY_RETURN_NOT_OK(mv->Flush());
+  for (const auto& mv : *views) HAZY_RETURN_NOT_OK(mv->Flush());
 
   // The checkpoint's own system-table writes must not append logical WAL
   // records (the checkpoint IS the durability point they would replay

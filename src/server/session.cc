@@ -54,6 +54,16 @@ std::string Session::ResultFrame(uint32_t request_id, const sql::ResultSet& rs) 
   std::string payload;
   Status s = rs.Encode(&payload);
   if (!s.ok()) return ErrorFrame(request_id, s);
+  // A frame over the cap fails the client's decoder and is never drained,
+  // which would break every later response on the connection.
+  const uint64_t frame_bytes = payload.size() + 5;  // + opcode + request id
+  if (frame_bytes > rpc::kMaxFrameBytes) {
+    return ErrorFrame(request_id,
+                      Status::ResourceExhausted(StrFormat(
+                          "result frame of %llu bytes exceeds the %u-byte cap",
+                          static_cast<unsigned long long>(frame_bytes),
+                          rpc::kMaxFrameBytes)));
+  }
   std::string frame;
   rpc::EncodeFrame(rpc::Opcode::kResult, request_id, payload, &frame);
   return frame;

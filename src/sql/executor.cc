@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <sstream>
 
 #include "common/logging.h"
@@ -38,12 +39,32 @@ StatusOr<bool> MatchesPredicate(const storage::Schema& schema, const Row& row,
   return false;
 }
 
+namespace {
+
+/// The view a snapshot read of `stmt` answers from: a SELECT whose table
+/// names a published view. Null sends the statement down the serialized
+/// path.
+std::shared_ptr<engine::ManagedView> SnapshotView(engine::Database* db,
+                                                  const Statement& stmt) {
+  const auto* sel = std::get_if<SelectStmt>(&stmt);
+  return sel == nullptr ? nullptr : db->FindView(sel->table);
+}
+
+}  // namespace
+
+bool IsSnapshotRead(engine::Database* db, const Statement& stmt) {
+  return SnapshotView(db, stmt) != nullptr;
+}
+
 StatusOr<ResultSet> Executor::Execute(const std::string& sql) {
   const auto parse_start = static_cast<uint64_t>(NowNanos());
   StatusOr<Statement> stmt = Parse(sql);
   const auto parse_end = static_cast<uint64_t>(NowNanos());
-  if (stmt.ok() && IsSnapshotRead(db_, *stmt)) {
-    return ExecSelect(std::get<SelectStmt>(*stmt));
+  if (stmt.ok()) {
+    // Resolved once; the handle outlives the read's epoch pin.
+    if (std::shared_ptr<engine::ManagedView> view = SnapshotView(db_, *stmt)) {
+      return ExecSelectView(std::get<SelectStmt>(*stmt), view.get());
+    }
   }
 
   // The serialized path is traced. Whether a statement is serialized is
@@ -89,7 +110,9 @@ StatusOr<ResultSet> Executor::Execute(const PreparedStatement& prepared,
 }
 
 StatusOr<ResultSet> Executor::Execute(const Statement& stmt) {
-  if (IsSnapshotRead(db_, stmt)) return ExecSelect(std::get<SelectStmt>(stmt));
+  if (std::shared_ptr<engine::ManagedView> view = SnapshotView(db_, stmt)) {
+    return ExecSelectView(std::get<SelectStmt>(stmt), view.get());
+  }
   return ExecuteSerialized(stmt);
 }
 
@@ -386,28 +409,18 @@ StatusOr<ResultSet> Executor::ExecInsert(const InsertStmt& stmt) {
   }
   HAZY_RETURN_NOT_OK(insert_status);
   // Only claim batched maintenance when a view actually monitors this table.
-  bool monitored = false;
-  for (const auto& name : db_->ViewNames()) {
-    auto v = db_->GetView(name);
-    if (v.ok() && (EqualsIgnoreCase((*v)->def().example_table, stmt.table) ||
-                   EqualsIgnoreCase((*v)->def().entity_table, stmt.table))) {
-      monitored = true;
-      break;
-    }
-  }
+  const std::shared_ptr<const engine::Database::ViewList> views = db_->views();
+  const bool monitored =
+      std::any_of(views->begin(), views->end(), [&](const auto& v) {
+        return EqualsIgnoreCase(v->def().example_table, stmt.table) ||
+               EqualsIgnoreCase(v->def().entity_table, stmt.table);
+      });
   ResultSet rs;
   rs.affected_rows = static_cast<int64_t>(stmt.rows.size());
   rs.message = StrFormat("%zu row%s inserted%s", stmt.rows.size(),
                          stmt.rows.size() == 1 ? "" : "s",
                          batch && monitored ? " (batched view maintenance)" : "");
   return rs;
-}
-
-bool IsSnapshotRead(engine::Database* db, const Statement& stmt) {
-  // Every view the database can name has a published epoch (AdoptView
-  // publishes it first), so naming a view is the whole test.
-  const auto* sel = std::get_if<SelectStmt>(&stmt);
-  return sel != nullptr && db->HasView(sel->table);
 }
 
 StatusOr<ResultSet> Executor::ExecSelectView(const SelectStmt& stmt,
@@ -499,13 +512,10 @@ StatusOr<ResultSet> Executor::ExecSelectView(const SelectStmt& stmt,
   using LabeledRow = std::pair<int64_t, const std::string&>;
 
   // The answers come from the pinned epoch, but the work is still this
-  // view's read traffic: book it in the live view's stats (relaxed cells,
-  // safe beside the writer; the handle survives a racing retrain swap).
-  std::shared_ptr<core::ClassificationView> live = view->SharedView();
-  core::ViewStats* vstats = live->mutable_stats();
+  // view's read traffic: RecordRead books it in the live view's stats.
   if (by_key) {
     const int64_t id = std::get<int64_t>(where->value);
-    ++vstats->single_reads;
+    view->RecordRead();
     StatusOr<int> sign = snap->SingleEntityRead(id);
     // A missing entity is an empty result, not an error.
     if (!sign.ok() && !sign.status().IsNotFound()) return sign.status();
@@ -515,14 +525,7 @@ StatusOr<ResultSet> Executor::ExecSelectView(const SelectStmt& stmt,
   }
 
   obs::TraceScope scan_span(obs::SpanKind::kSnapshotScan);
-  ++vstats->all_members_queries;
-  // tuples_scanned counts the rows actually rescored; the rest were
-  // settled from their chunk's eps column by the water lines.
   core::ScanCounts counts;
-  auto record_counts = [&] {
-    vstats->tuples_scanned += counts.scored;
-    vstats->rows_by_bounds += counts.by_bounds;
-  };
   if (by_class) {
     const std::string& label = std::get<std::string>(where->value);
     std::vector<int64_t> ids;
@@ -533,12 +536,12 @@ StatusOr<ResultSet> Executor::ExecSelectView(const SelectStmt& stmt,
       HAZY_ASSIGN_OR_RETURN(ids, snap->AllMembers(member_sign, &counts));
       n = ids.size();
     }
-    record_counts();
+    view->RecordRead(counts);
     return finish(n, [&](size_t i) { return LabeledRow(ids[i], label); });
   }
   // Full view scan: both classes from one labeling pass.
   std::vector<std::pair<int64_t, int8_t>> all = snap->LabeledEntities(&counts);
-  record_counts();
+  view->RecordRead(counts);
   if (!stmt.count_star) std::sort(all.begin(), all.end());
   return finish(all.size(), [&](size_t i) {
     return LabeledRow(all[i].first, view->LabelString(all[i].second));
@@ -546,25 +549,12 @@ StatusOr<ResultSet> Executor::ExecSelectView(const SelectStmt& stmt,
 }
 
 StatusOr<ResultSet> Executor::ExecSelect(const SelectStmt& stmt) {
-  // Resolves the target and reads it. The caller keeps the handles alive:
-  // a concurrent VACUUM frees every view and table in ResetHandles.
-  auto resolve_and_read = [&]() -> StatusOr<ResultSet> {
-    StatusOr<engine::ManagedView*> view = db_->GetView(stmt.table);
-    return view.ok() ? ExecSelectView(stmt, *view) : ExecSelectTable(stmt);
-  };
-  {
-    // Registered as a snapshot reader, the read holds off VACUUM's
-    // teardown: it drains registered readers before freeing handles.
-    engine::SnapshotReadScope scope(db_);
-    if (scope.active()) return resolve_and_read();
+  // A view created (or recovered by VACUUM) since Execute missed the name
+  // answers from its epoch here too.
+  if (std::shared_ptr<engine::ManagedView> view = db_->FindView(stmt.table)) {
+    return ExecSelectView(stmt, view.get());
   }
-  // A VACUUM swap is in progress (or the database is closed): registration
-  // is refused and the handles are about to be invalidated. Serialize
-  // behind the VACUUM (it holds the statement mutex for the whole
-  // compaction) and resolve fresh handles.
-  std::lock_guard<std::recursive_mutex> stmt_lock(*db_->statement_mutex());
-  if (!db_->is_open()) return Status::InvalidArgument("database is not open");
-  return resolve_and_read();
+  return ExecSelectTable(stmt);
 }
 
 StatusOr<ResultSet> Executor::ExecSelectTable(const SelectStmt& stmt) {

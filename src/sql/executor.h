@@ -30,9 +30,13 @@ namespace hazy::sql {
 ///
 /// The executor owns statement serialization. A SELECT over a view
 /// (IsSnapshotRead) runs lock-free against the view's pinned epoch, so it
-/// sees the last published batch boundary, never a half-applied batch;
-/// every other statement runs under Database::statement_mutex(), and on
-/// its way out runs any checkpoint the background checkpointer handed off
+/// sees the last published batch boundary, never a half-applied batch.
+/// It resolves the view once, from the database's published view list,
+/// and holds that handle until the read's epoch pin is released, so a
+/// VACUUM that republishes the list never waits for it. Every other
+/// statement, a SELECT whose name did not resolve to a view included,
+/// runs under Database::statement_mutex(), and on its way out runs any
+/// checkpoint the background checkpointer handed off
 /// (Database::CheckpointIfRequested). Callers never lock anything.
 class Executor {
  public:
@@ -70,19 +74,17 @@ class Executor {
   StatusOr<ResultSet> ExecCreateTable(const CreateTableStmt& stmt);
   StatusOr<ResultSet> ExecCreateView(const CreateViewStmt& stmt);
   StatusOr<ResultSet> ExecInsert(const InsertStmt& stmt);
-  /// Dispatches a SELECT. Resolves the target name to a view/table pointer
-  /// only while registered as a snapshot reader (SnapshotReadScope) or,
-  /// when a VACUUM swap refuses registration, behind the statement mutex —
-  /// a pointer resolved unprotected could be freed by the swap's teardown
-  /// before the read registers (use-after-free).
+  /// Serialized SELECT (statement mutex held): resolves the name again, so
+  /// a view published since Execute missed it answers from its epoch, and
+  /// anything else scans a base table.
   StatusOr<ResultSet> ExecSelect(const SelectStmt& stmt);
-  /// Scans a base table (caller holds the protection ExecSelect describes).
+  /// Scans a base table (statement mutex held).
   StatusOr<ResultSet> ExecSelectTable(const SelectStmt& stmt);
   /// Answers every SELECT over a view from its pinned epoch: Single Entity,
   /// All Members, COUNT(*) or a full scan, then LIMIT and the projection.
   /// Takes no lock and folds no queued trigger work, so it never waits on
-  /// ingest (MVCC semantics). The caller keeps `view` valid (ExecSelect's
-  /// scope or statement-mutex hold).
+  /// ingest (MVCC semantics). The caller holds the view's FindView handle
+  /// for the whole call: the pin taken here points into the view.
   StatusOr<ResultSet> ExecSelectView(const SelectStmt& stmt, engine::ManagedView* view);
   StatusOr<ResultSet> ExecDelete(const DeleteStmt& stmt);
   StatusOr<ResultSet> ExecUpdate(const UpdateStmt& stmt);
@@ -110,9 +112,9 @@ StatusOr<bool> MatchesPredicate(const storage::Schema& schema, const storage::Ro
 /// True when `stmt` is a SELECT whose table names a classification view.
 /// Every view the database can name has a published epoch, so such a
 /// statement reads immutable state and runs without the statement mutex
-/// (Executor::Execute uses this to let reads bypass a saturating update
-/// stream). Only the name is looked up; no view is dereferenced, so a
-/// concurrent VACUUM swap cannot free anything under the check.
+/// (Executor::Execute makes the same test while resolving the view, so
+/// reads bypass a saturating update stream). The answer may be stale by
+/// the time the caller acts on it: a VACUUM can republish the view list.
 bool IsSnapshotRead(engine::Database* db, const Statement& stmt);
 
 }  // namespace hazy::sql

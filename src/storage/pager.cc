@@ -58,7 +58,13 @@ StatusOr<uint32_t> Pager::Allocate() {
   uint32_t pid = num_pages_.fetch_add(1, std::memory_order_acq_rel);
   // Extend the file with a zero page so later reads are well-defined.
   static const char kZeros[kPageSize] = {};
-  HAZY_RETURN_NOT_OK(Write(pid, kZeros));
+  Status s = Write(pid, kZeros);
+  if (!s.ok()) {
+    // Give the id back, or it stays a hole in the file. No later id can be
+    // taken meanwhile: BufferPool::New allocates under the pool mutex.
+    num_pages_.store(pid, std::memory_order_release);
+    return s;
+  }
   return pid;
 }
 

@@ -1,13 +1,15 @@
 // Snapshot-read semantics through the engine, for every architecture in
 // both maintenance modes: at a batch boundary a snapshot SQL read answers
-// bit-identically to the live view; mid-batch readers stay on the pre-batch
-// epoch (MVCC-lite — reads never see a half-applied batch); pinned epochs
-// reclaim only after the last reader unpins; and a checkpoint racing
-// concurrent snapshot readers recovers to bit-identical view state.
+// bit-identically to the live core view; mid-batch readers stay on the
+// pre-batch epoch (MVCC-lite — reads never see a half-applied batch);
+// pinned epochs reclaim only after the last reader unpins; a checkpoint
+// racing concurrent snapshot readers recovers to bit-identical view state;
+// and a reader's view handle outlives a VACUUM swap.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <set>
@@ -112,13 +114,32 @@ class EngineSnapshotTest : public ::testing::TestWithParam<ArchMode> {
     return payload;
   }
 
+  // The oracle: the live core view's own read path. The engine-API reads
+  // answer from the same epochs as SQL, so they cannot be the oracle.
+  std::string LiveLabel(ManagedView* view, int64_t id) {
+    auto sign = view->view()->SingleEntityRead(id);
+    EXPECT_TRUE(sign.ok()) << sign.status().ToString();
+    return sign.ok() ? view->LabelString(*sign) : std::string();
+  }
+  std::set<int64_t> LiveMembers(ManagedView* view, const std::string& label) {
+    auto ids = view->view()->AllMembers(view->LabelSign(label).ValueOrDie());
+    EXPECT_TRUE(ids.ok()) << ids.status().ToString();
+    return ids.ok() ? std::set<int64_t>(ids->begin(), ids->end())
+                    : std::set<int64_t>();
+  }
+  uint64_t LiveCount(ManagedView* view, const std::string& label) {
+    auto n = view->view()->AllMembersCount(view->LabelSign(label).ValueOrDie());
+    EXPECT_TRUE(n.ok()) << n.status().ToString();
+    return n.ok() ? *n : ~uint64_t{0};
+  }
+
   std::unique_ptr<Database> db_;
   storage::Table* examples_ = nullptr;
   std::unique_ptr<sql::Executor> exec_;
 };
 
 // At a batch boundary every snapshot SQL read shape (single-entity, members,
-// count) answers bit-identically to the live view's engine API — the core
+// count) answers bit-identically to the live core view — the core
 // invariant that makes reading without the statement mutex sound.
 TEST_P(EngineSnapshotTest, SnapshotAnswersMatchLiveViewAtBatchBoundary) {
   ManagedView* view = MustCreateView();
@@ -131,37 +152,33 @@ TEST_P(EngineSnapshotTest, SnapshotAnswersMatchLiveViewAtBatchBoundary) {
                        std::to_string(id));
     ASSERT_EQ(rs.rows.size(), 1u);
     auto sql_label = rs.TextAt(0, 0);
-    auto api_label = view->LabelOf(id);
-    ASSERT_TRUE(sql_label.ok() && api_label.ok());
-    EXPECT_EQ(*sql_label, *api_label) << "paper " << id;
+    ASSERT_TRUE(sql_label.ok());
+    EXPECT_EQ(*sql_label, LiveLabel(view, id)) << "paper " << id;
   }
 
   for (const char* label : {"DB", "OTHER"}) {
     auto rs = MustExec(std::string("SELECT * FROM Labeled_Papers WHERE class = '") +
                        label + "'");
-    auto api_members = view->MembersOf(label);
-    ASSERT_TRUE(api_members.ok());
-    std::set<int64_t> sql_ids, api_ids(api_members->begin(), api_members->end());
+    std::set<int64_t> sql_ids;
     for (size_t i = 0; i < rs.rows.size(); ++i) {
       auto id = rs.Int64At(i, 0);
       ASSERT_TRUE(id.ok());
       sql_ids.insert(*id);
     }
-    EXPECT_EQ(sql_ids, api_ids) << label;
+    EXPECT_EQ(sql_ids, LiveMembers(view, label)) << label;
 
     auto count = MustExec(
         std::string("SELECT COUNT(*) FROM Labeled_Papers WHERE class = '") +
         label + "'");
     ASSERT_EQ(count.rows.size(), 1u);
     auto sql_count = count.Int64At(0, 0);
-    auto api_count = view->CountOf(label);
-    ASSERT_TRUE(sql_count.ok() && api_count.ok());
-    EXPECT_EQ(static_cast<uint64_t>(*sql_count), *api_count) << label;
+    ASSERT_TRUE(sql_count.ok());
+    EXPECT_EQ(static_cast<uint64_t>(*sql_count), LiveCount(view, label)) << label;
   }
 }
 
-// Members and counts of a snapshot SQL read, compared with the live view's
-// engine API after each of a run of interleaved batches. The batches add
+// Members and counts of a snapshot SQL read, compared with the live core
+// view after each of a run of interleaved batches. The batches add
 // entities (new store chunks, tail merges) and examples (model drift), so the
 // reads label rows from eps columns built under earlier epochs' models,
 // rebuild them, and build columns for fresh chunks.
@@ -191,15 +208,11 @@ TEST_P(EngineSnapshotTest, SnapshotMatchesLiveViewAcrossInterleavedBatches) {
             std::string(" FROM Labeled_Papers WHERE class = '") + label + "'";
         const std::set<int64_t> sql_ids = ids_of(MustExec("SELECT id" + where));
         auto count = MustExec("SELECT COUNT(*)" + where);
-        auto api_ids = view->MembersOf(label);
-        auto api_count = view->CountOf(label);
-        ASSERT_TRUE(api_ids.ok() && api_count.ok());
-        EXPECT_EQ(sql_ids, std::set<int64_t>(api_ids->begin(), api_ids->end()))
-            << label << " round " << round;
+        EXPECT_EQ(sql_ids, LiveMembers(view, label)) << label << " round " << round;
         ASSERT_EQ(count.rows.size(), 1u);
         auto n = count.Int64At(0, 0);
         ASSERT_TRUE(n.ok());
-        EXPECT_EQ(static_cast<uint64_t>(*n), *api_count)
+        EXPECT_EQ(static_cast<uint64_t>(*n), LiveCount(view, label))
             << label << " round " << round;
         if (pass == 0) all_ids.insert(sql_ids.begin(), sql_ids.end());
       }
@@ -211,9 +224,7 @@ TEST_P(EngineSnapshotTest, SnapshotMatchesLiveViewAcrossInterleavedBatches) {
       auto id = full.Int64At(i, 0);
       auto label = full.TextAt(i, 1);
       ASSERT_TRUE(id.ok() && label.ok());
-      auto live = view->LabelOf(*id);
-      ASSERT_TRUE(live.ok());
-      EXPECT_EQ(*label, *live) << "paper " << *id << " round " << round;
+      EXPECT_EQ(*label, LiveLabel(view, *id)) << "paper " << *id << " round " << round;
     }
   };
 
@@ -252,7 +263,8 @@ TEST_P(EngineSnapshotTest, SnapshotMatchesLiveViewAcrossInterleavedBatches) {
 // from the last published epoch — the batch's queued model updates are
 // invisible until EndUpdateBatch publishes, and the whole batch becomes
 // visible atomically. The engine-API reads are different: they flush the
-// view's queue first, so they see the queued examples mid-batch.
+// view's queue first and answer from a private, unpublished epoch over the
+// batch so far, so they see the queued examples mid-batch.
 TEST_P(EngineSnapshotTest, MidBatchReaderSeesPreBatchEpoch) {
   ManagedView* view = MustCreateView();
   ASSERT_NE(view, nullptr);
@@ -282,8 +294,8 @@ TEST_P(EngineSnapshotTest, MidBatchReaderSeesPreBatchEpoch) {
   // A reader inside the batch: same epoch, byte-identical answers.
   EXPECT_EQ(view->epochs().latest_epoch(), epoch_before);
   EXPECT_EQ(Encoded(MustExec("SELECT * FROM Labeled_Papers")), rows_before);
-  // The engine API folds the queue into the live view and answers from it;
-  // SQL still answers from the pre-batch epoch.
+  // The engine API folds the queue into the live view and answers from a
+  // private epoch over it; SQL still answers from the pre-batch epoch.
   auto api_count = view->CountOf("DB");
   ASSERT_TRUE(api_count.ok()) << api_count.status().ToString();
   EXPECT_EQ(view->pending_updates(), 0u) << "CountOf did not flush the queue";
@@ -316,7 +328,8 @@ TEST_P(EngineSnapshotTest, MidBatchReaderSeesPreBatchEpoch) {
 // Regression: a multi-row INSERT into the entity table publishes exactly
 // one epoch, at the batch boundary. Per-row publication would let snapshot
 // readers observe a partially applied statement and would seal one store
-// chunk per row.
+// chunk per row. An engine-API read inside the batch sees the appended
+// papers without publishing them.
 TEST_P(EngineSnapshotTest, EntityBatchPublishesOneEpochAtBoundary) {
   ManagedView* view = MustCreateView();
   ASSERT_NE(view, nullptr);
@@ -339,8 +352,21 @@ TEST_P(EngineSnapshotTest, EntityBatchPublishesOneEpochAtBoundary) {
     EXPECT_EQ(view->epochs().latest_epoch(), epoch_before)
         << "entity insert published mid-batch at id " << id;
   }
-  // A reader inside the batch stays on the pre-batch epoch: none of the new
-  // entities are visible yet.
+  // The engine API reads the batch so far: the last appended paper answers
+  // and both classes together count every appended one.
+  auto label = view->LabelOf(17);
+  ASSERT_TRUE(label.ok()) << label.status().ToString();
+  auto db_count = view->CountOf("DB");
+  auto other_count = view->CountOf("OTHER");
+  ASSERT_TRUE(db_count.ok() && other_count.ok());
+  EXPECT_EQ(*db_count + *other_count, static_cast<uint64_t>(kTestCorpusSize + 8));
+  auto members = view->MembersOf(*label);
+  ASSERT_TRUE(members.ok());
+  EXPECT_NE(std::find(members->begin(), members->end(), 17), members->end());
+  EXPECT_EQ(view->epochs().latest_epoch(), epoch_before)
+      << "a mid-batch engine-API read published an epoch";
+  // A SQL reader inside the batch stays on the pre-batch epoch: none of the
+  // new entities are visible yet.
   EXPECT_EQ(Encoded(MustExec("SELECT COUNT(*) FROM Labeled_Papers")),
             count_before);
   ASSERT_TRUE(db_->EndUpdateBatch().ok());
@@ -463,13 +489,12 @@ TEST_P(EngineSnapshotTest, CheckpointRacingReadersRecoversBitIdentical) {
 }
 
 // Readers running the server session's exact sequence — parse, then
-// Executor::Execute, which routes through IsSnapshotRead — while VACUUM
-// repeatedly swaps the backing file and frees every ManagedView.
-// Regression for a use-after-free: the
-// view pointer used to be resolved (and dereferenced) before the reader
-// registered in a SnapshotReadScope, so the swap's drain could miss the
-// reader and tear the view down under it. ASan/TSan runs of this
-// test catch any reintroduction.
+// Executor::Execute, which resolves the view from the published list —
+// while VACUUM repeatedly swaps the backing file and republishes the view
+// list. A reader that resolved an old view finishes on it (its handle
+// keeps the view and its epochs alive); one that misses the name during
+// the swap serializes behind the VACUUM. Either way it answers. ASan/TSan
+// runs of this test catch a view freed under a reader.
 TEST(SnapshotVacuumRaceTest, ReadersRacingVacuumNeverCrash) {
   const std::string path =
       ::testing::TempDir() + "hazy_snapshot_vacuum_race.db";
@@ -508,7 +533,7 @@ TEST(SnapshotVacuumRaceTest, ReadersRacingVacuumNeverCrash) {
 
   for (int i = 0; i < 4; ++i) {
     // Let the readers re-resolve fresh handles between swaps so every cycle
-    // races registration against the drain, not just the first.
+    // races name resolution against the swap, not just the first.
     const uint64_t before = reads.load(std::memory_order_relaxed);
     while (reads.load(std::memory_order_relaxed) < before + 20) {
       std::this_thread::yield();
@@ -581,6 +606,64 @@ TEST(SnapshotCreateRaceTest, ReadersRacingCreateViewSeeNotFoundOrAnswer) {
     watcher.join();
     ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   }
+}
+
+// A reader's view handle outlives VACUUM. Compact publishes an empty view
+// list, then the recovered views, and never waits for readers, so it
+// returns even while this thread holds a handle and a pin on the old view.
+// The old view keeps answering the pre-VACUUM labels, which equal the
+// recovered view's. ASan runs check the old view's late teardown.
+TEST_P(EngineSnapshotTest, ViewHandleOutlivesVacuum) {
+  ASSERT_NE(MustCreateView(), nullptr);
+  TrainAll();
+  std::shared_ptr<ManagedView> handle = db_->FindView("Labeled_Papers");
+  ASSERT_NE(handle, nullptr);
+  core::SnapshotPin held = handle->PinSnapshot();
+  ASSERT_TRUE(held);
+  std::vector<int> before;
+  for (int64_t id = 0; id < kTestCorpusSize; ++id) {
+    before.push_back(held->SingleEntityRead(id).ValueOrDie());
+  }
+
+  ASSERT_TRUE(db_->Compact().ok());
+
+  std::shared_ptr<ManagedView> recovered = db_->FindView("Labeled_Papers");
+  ASSERT_NE(recovered, nullptr);
+  EXPECT_NE(recovered, handle) << "VACUUM must publish the recovered view";
+  core::SnapshotPin old_latest = handle->PinSnapshot();
+  core::SnapshotPin fresh = recovered->PinSnapshot();
+  ASSERT_TRUE(old_latest && fresh);
+  for (int64_t id = 0; id < kTestCorpusSize; ++id) {
+    const int expected = before[static_cast<size_t>(id)];
+    EXPECT_EQ(held->SingleEntityRead(id).ValueOrDie(), expected) << "paper " << id;
+    EXPECT_EQ(old_latest->SingleEntityRead(id).ValueOrDie(), expected) << "paper " << id;
+    EXPECT_EQ(fresh->SingleEntityRead(id).ValueOrDie(), expected) << "paper " << id;
+    auto rs = MustExec("SELECT class FROM Labeled_Papers WHERE id = " +
+                       std::to_string(id));
+    ASSERT_EQ(rs.rows.size(), 1u);
+    EXPECT_EQ(rs.TextAt(0, 0).ValueOrDie(), handle->LabelString(expected));
+  }
+  // Same members; store order may differ (recovery re-exports entities).
+  auto members_of = [](const core::SnapshotPin& pin, int sign) {
+    std::vector<int64_t> ids = pin->AllMembers(sign).ValueOrDie();
+    return std::set<int64_t>(ids.begin(), ids.end());
+  };
+  for (int sign : {1, -1}) {
+    EXPECT_EQ(members_of(held, sign), members_of(fresh, sign)) << "sign " << sign;
+  }
+}
+
+// A SELECT on a database that was never opened resolves no view (the
+// published list is empty), so it takes the serialized path, which
+// reports the closed database instead of touching absent handles.
+TEST(SnapshotClosedDatabaseTest, SelectOnUnopenedDatabaseIsNotOpen) {
+  Database db;
+  sql::Executor exec(&db);
+  auto rs = exec.Execute("SELECT * FROM Labeled_Papers");
+  ASSERT_FALSE(rs.ok());
+  EXPECT_TRUE(rs.status().IsInvalidArgument()) << rs.status().ToString();
+  EXPECT_NE(rs.status().ToString().find("database is not open"), std::string::npos)
+      << rs.status().ToString();
 }
 
 // A view created inside an open update batch is adopted with its first

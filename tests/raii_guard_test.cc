@@ -1,7 +1,6 @@
-// RAII-misuse tests for the concurrency holders: SnapshotPin /
-// SnapshotReadScope lifetime edges (double release, move-over-live,
-// inactive scopes) and the annotated Mutex/MutexLock/CondVar wrappers'
-// relock and timeout behavior. The happy paths are covered where the
+// RAII-misuse tests for the concurrency holders: SnapshotPin lifetime
+// edges (double release, move-over-live) and the annotated
+// Mutex/MutexLock/CondVar wrappers' relock and timeout behavior. The happy paths are covered where the
 // holders are used; these tests pin down the edges a refactor would break
 // silently — an extra unpin here corrupts epoch reclaim accounting, an
 // unbalanced relock deadlocks teardown.
@@ -14,7 +13,6 @@
 
 #include "common/mutex.h"
 #include "core/epoch.h"
-#include "engine/database.h"
 #include "ml/model.h"
 
 namespace hazy {
@@ -81,32 +79,6 @@ TEST(SnapshotPinMisuseTest, DestructorOfMovedFromPinDoesNotUnpin) {
   // publish + pin again to observe a sane count.
   SnapshotPin again = mgr.Pin();
   EXPECT_EQ(again->pins(), 1u);
-}
-
-TEST(SnapshotReadScopeMisuseTest, NullAndClosedDatabasesYieldInactiveScopes) {
-  {
-    engine::SnapshotReadScope scope(nullptr);
-    EXPECT_FALSE(scope.active());
-  }
-  engine::Database db;  // never opened
-  {
-    engine::SnapshotReadScope scope(&db);
-    EXPECT_FALSE(scope.active());
-  }
-}
-
-TEST(SnapshotReadScopeMisuseTest, ScopesNestAndDrainOnOpenDatabase) {
-  engine::Database db;
-  ASSERT_TRUE(db.Open().ok());
-  {
-    engine::SnapshotReadScope outer(&db);
-    EXPECT_TRUE(outer.active());
-    engine::SnapshotReadScope inner(&db);
-    EXPECT_TRUE(inner.active());
-  }
-  // Both scopes drained: VACUUM must not see a phantom reader (it would
-  // wait forever). Compact on an open, quiet database returns promptly.
-  EXPECT_TRUE(db.Compact().ok());
 }
 
 TEST(MutexLockMisuseTest, ExplicitUnlockSuppressesDestructorUnlock) {

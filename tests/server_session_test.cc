@@ -1,6 +1,7 @@
 // Serving-layer tests: sessions with independent prepared-statement tables,
 // the socket server end to end (concurrent clients, BUSY under a full
-// admission queue, clean close mid-query), and the byte-identity guarantee —
+// admission queue, clean close mid-query, a result over the frame cap
+// refused without breaking the connection), and the byte-identity guarantee —
 // a prepared statement over a socket returns the exact response bytes the
 // in-process loopback transport produces.
 
@@ -100,6 +101,39 @@ TEST_F(ServerSessionTest, SocketEndToEnd) {
   ASSERT_TRUE(rs.ok());
   ASSERT_EQ(rs->rows.size(), 1u);
   EXPECT_EQ(rs->TextAt(0, 1).ValueOrDie(), "one");
+
+  ASSERT_TRUE((*client)->Close().ok());
+  server.Stop();
+}
+
+TEST_F(ServerSessionTest, OversizedResultIsRefusedAndConnectionStaysUsable) {
+  // 66 rows of 1 MiB encode to a frame over rpc::kMaxFrameBytes (64 MiB).
+  constexpr int64_t kRows = 66;
+  auto table = db_->catalog()->CreateTable(
+      "big",
+      storage::Schema({{"id", storage::ColumnType::kInt64},
+                       {"body", storage::ColumnType::kText}}),
+      0);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  const std::string body(1u << 20, 'x');
+  for (int64_t id = 0; id < kRows; ++id) {
+    ASSERT_TRUE((*table)->Insert(storage::Row{id, body}).ok());
+  }
+  Server server(db_.get(), {});
+  ASSERT_TRUE(server.Start().ok());
+  auto client = client::HazyClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+
+  auto all = (*client)->Query("SELECT * FROM big;");
+  ASSERT_FALSE(all.ok());
+  EXPECT_TRUE(all.status().IsResourceExhausted()) << all.status().ToString();
+  EXPECT_NE(all.status().ToString().find(std::to_string(rpc::kMaxFrameBytes)),
+            std::string::npos)
+      << all.status().ToString();
+  // The refusal is an ordinary frame: the same connection keeps answering.
+  auto count = (*client)->Query("SELECT COUNT(*) FROM big;");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ(count->Int64At(0, 0).ValueOrDie(), kRows);
 
   ASSERT_TRUE((*client)->Close().ok());
   server.Stop();

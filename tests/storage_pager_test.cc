@@ -35,6 +35,20 @@ TEST_F(PagerTest, AllocateGrowsSequentially) {
   EXPECT_EQ(pager_.num_pages(), 2u);
 }
 
+TEST_F(PagerTest, FailedAllocateGivesItsPageIdBack) {
+  ASSERT_TRUE(pager_.Allocate().ok());  // page 0
+  pager_.SetFaultHook([](const char* op, uint32_t) {
+    return std::strcmp(op, "page_write") == 0 ? kFaultFail : kFaultNone;
+  });
+  EXPECT_FALSE(pager_.Allocate().ok());
+  EXPECT_EQ(pager_.num_pages(), 1u);
+  pager_.SetFaultHook(nullptr);
+  auto pid = pager_.Allocate();
+  ASSERT_TRUE(pid.ok()) << pid.status().ToString();
+  EXPECT_EQ(*pid, 1u);
+  EXPECT_EQ(pager_.num_pages(), 2u);
+}
+
 TEST_F(PagerTest, WriteReadRoundTrip) {
   auto pid = pager_.Allocate();
   ASSERT_TRUE(pid.ok());

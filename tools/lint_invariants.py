@@ -36,6 +36,15 @@ balance:
                            epoch (Executor::ExecSelectView), so a second,
                            lock-taking read path cannot come back unnoticed.
 
+  reads-through-epochs     No file under src/ outside src/core/ calls a core
+                           view's read path (SingleEntityRead, AllMembers,
+                           AllMembersCount) through `view_->` or
+                           `view()->`: SQL reads and the engine-API reads
+                           (ManagedView::LabelOf/MembersOf/CountOf) answer
+                           from epochs, so a second, live read path cannot
+                           come back unnoticed. Like the pool-mutex fsync
+                           rule it admits no `lint:allow` exceptions.
+
   unconsumed-epoch-pin     Every EpochManager::Pin() result must be bound
                            (the SnapshotPin RAII holder is the unpin). A
                            discarded temporary unpins immediately and the
@@ -50,7 +59,7 @@ balance:
                            must carry a comment (same line or the lines just
                            above) saying why dropping the status is correct.
 
-A finding of any other rule can be suppressed with
+A finding of any rule but those two can be suppressed with
 `// lint:allow <rule-name>` on the same line or the line above, which is
 itself the documentation.
 
@@ -257,6 +266,23 @@ def check_sql_reads_epoch():
                                "(Executor::ExecSelectView)")
 
 
+CORE_VIEW_READ_RE = re.compile(
+    r"\b(?:view_|view\(\))\s*->\s*"
+    r"(?:SingleEntityRead|AllMembers|AllMembersCount)\s*\(")
+
+
+def check_reads_through_epochs():
+    for path in sorted(SRC.rglob("*.cc")) + sorted(SRC.rglob("*.h")):
+        if path.relative_to(SRC).parts[0] == "core":
+            continue
+        lines = path.read_text().splitlines()
+        for idx, line in enumerate(lines):
+            if CORE_VIEW_READ_RE.search(line.split("//")[0]):
+                report(path, idx, "reads-through-epochs",
+                       "core view read outside src/core/ — answer from an "
+                       "epoch (ManagedView::ReadEpoch or a SnapshotPin)")
+
+
 PIN_BARE_RE = re.compile(r"^\s*[\w\.\->\(\)]*\bPin\(\)\s*;")
 
 
@@ -316,6 +342,7 @@ def main():
     check_gate_on_reactor_thread()
     check_statement_lock_site()
     check_sql_reads_epoch()
+    check_reads_through_epochs()
     check_unconsumed_epoch_pin()
     check_escape_hatch_budget()
     check_unexplained_void_status()
