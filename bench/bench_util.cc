@@ -142,8 +142,7 @@ std::unique_ptr<ViewHarness> ViewHarness::Create(core::Architecture arch,
       "src=\"bench\",arch=\"%s\"", core::ArchitectureToString(arch));
   h->collectors_.push_back(obs::RegisterBufferPoolStats(h->pool_.get(), labels));
   h->collectors_.push_back(obs::RegisterPagerStats(h->pager_.get(), labels));
-  h->collectors_.push_back(obs::RegisterViewStats(
-      [view = h->view_.get()]() { return view; }, labels));
+  h->collectors_.push_back(obs::RegisterViewStats(&h->view_->stats(), labels));
   return h;
 }
 

@@ -236,7 +236,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Phase 3: All Members reads under the same ingest stream. ------------
-  const hazy::core::ViewStats& vstats = (*view)->view()->stats();
+  const hazy::core::ViewStats& vstats = (*view)->stats();
   const uint64_t scored_before = vstats.tuples_scanned;
   const uint64_t bounds_before = vstats.rows_by_bounds;
   const uint64_t queries_before = vstats.all_members_queries;

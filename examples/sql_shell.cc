@@ -12,12 +12,11 @@
 // prints the server-side span breakdown via SHOW TRACE), and '\metrics
 // [filter]' dumps the metrics registry over either transport.
 //
-// Batched view maintenance: a multi-row INSERT applies all its training
-// examples to each classification view as one UpdateBatch automatically.
-// '\batch on' holds the whole session in batched-trigger mode (updates
-// queue; SELECTs keep answering from the last published epoch, so they do
-// not see the queued examples), '\batch off' flushes the queue and
-// publishes it.
+// Batched view maintenance: a multi-row INSERT publishes one epoch per
+// classification view for the whole statement automatically. '\batch on'
+// holds the whole session in one update batch (SELECTs keep answering from
+// the last published epoch, so they do not see the batch's examples),
+// '\batch off' publishes it.
 //
 // Remote serving: '\connect <host>:<port>' points the shell at a running
 // hazy_server — statements travel as wire-protocol frames and results come

@@ -2,33 +2,7 @@
 
 #include <algorithm>
 
-#include "persist/serde.h"
-
 namespace hazy::core {
-
-namespace {
-constexpr uint32_t kWaterTag = persist::MakeTag('W', 'A', 'T', 'R');
-}  // namespace
-
-void WaterLineTracker::SaveState(persist::StateWriter* w) const {
-  w->PutTag(kWaterTag);
-  w->PutDouble(m_);
-  w->PutModel(stored_);
-  w->PutDouble(lw_);
-  w->PutDouble(hw_);
-  w->PutDouble(prev_low_);
-  w->PutDouble(prev_high_);
-}
-
-Status WaterLineTracker::LoadState(persist::StateReader* r) {
-  HAZY_RETURN_NOT_OK(r->ExpectTag(kWaterTag));
-  HAZY_RETURN_NOT_OK(r->GetDouble(&m_));
-  HAZY_RETURN_NOT_OK(r->GetModel(&stored_));
-  HAZY_RETURN_NOT_OK(r->GetDouble(&lw_));
-  HAZY_RETURN_NOT_OK(r->GetDouble(&hw_));
-  HAZY_RETURN_NOT_OK(r->GetDouble(&prev_low_));
-  return r->GetDouble(&prev_high_);
-}
 
 void WaterLineTracker::Reorganize(const ml::LinearModel& stored) {
   stored_ = stored;

@@ -20,11 +20,6 @@
 #include "ml/model.h"
 #include "ml/vector.h"
 
-namespace hazy::persist {
-class StateWriter;
-class StateReader;
-}  // namespace hazy::persist
-
 namespace hazy::core {
 
 /// \brief Tracks low/high water relative to the last reorganization.
@@ -60,11 +55,6 @@ class WaterLineTracker {
   bool InWindow(double eps) const { return !CertainPositive(eps) && !CertainNegative(eps); }
 
   const ml::LinearModel& stored_model() const { return stored_; }
-
-  /// Checkpoints the drift state (M, stored model, running bounds); p and
-  /// monotonicity are configuration, carried by ViewOptions instead.
-  void SaveState(persist::StateWriter* w) const;
-  Status LoadState(persist::StateReader* r);
 
  private:
   double p_;

@@ -11,7 +11,9 @@
 //
 // Each can run eager (labels materialized after every update) or lazy
 // (labels computed at read time) — the three operations of Section 2.2:
-// Update, Single Entity read, All Members.
+// Update, Single Entity read, All Members. They are the library behind the
+// paper-figure benches (ViewHarness); the engine keeps a model and an epoch
+// store per view instead (engine/database.h).
 
 #ifndef HAZY_CORE_CLASSIFIER_VIEW_H_
 #define HAZY_CORE_CLASSIFIER_VIEW_H_
@@ -28,11 +30,6 @@
 #include "ml/sgd.h"
 #include "ml/vector.h"
 #include "obs/metrics.h"
-
-namespace hazy::persist {
-class StateWriter;
-class StateReader;
-}  // namespace hazy::persist
 
 namespace hazy::core {
 
@@ -68,7 +65,8 @@ struct ViewOptions {
   size_t hybrid_buffer_capacity = 1024;
 };
 
-/// \brief Counters every view maintains (benchmarks report these).
+/// \brief Counters every view maintains (benchmarks report these; the engine
+/// books updates, update time and the read fields for its views).
 ///
 /// Fields are relaxed-atomic cells (obs::RelaxedU64/F64) so the metrics
 /// registry's scrape thread can read them while statement threads mutate:
@@ -82,7 +80,7 @@ struct ViewStats {
   obs::RelaxedU64 window_tuples;    ///< tuples inspected inside water windows
   obs::RelaxedU64 tuples_scanned;   ///< tuples scored by All Members scans
   /// Snapshot All Members rows labeled from a stored eps by the water lines
-  /// without rescoring (not checkpointed: a restart rebuilds the columns).
+  /// without rescoring.
   obs::RelaxedU64 rows_by_bounds;
   obs::RelaxedU64 label_flips;
   obs::RelaxedU64 single_reads;
@@ -141,43 +139,16 @@ class ClassificationView {
   /// Count of entities currently labeled `label` (the Fig 4(B) query).
   virtual StatusOr<uint64_t> AllMembersCount(int label) = 0;
 
-  /// Current Skiing water lines when the architecture maintains them
-  /// (Hazy MM/OD); false otherwise. Exported as gauges by the metrics
-  /// registry's view collector.
-  virtual bool WaterLines(double* low, double* high) const {
-    (void)low;
-    (void)high;
-    return false;
-  }
-
   /// The current model (reflects every Update so far).
   virtual const ml::LinearModel& model() const = 0;
 
   virtual const ViewStats& stats() const = 0;
   virtual ViewStats* mutable_stats() = 0;
 
-  /// Appends every entity (id + features) to `out`, in an unspecified but
-  /// deterministic order. This is the epoch-snapshot seeding path
-  /// (core/epoch.h): after a bulk load, restore, or retrain-from-scratch
-  /// the engine re-exports the entity set into the immutable snapshot
-  /// store, which answers every SQL read of the view.
-  virtual Status ExportEntities(std::vector<Entity>* out) const = 0;
-
   /// Approximate resident main-memory footprint in bytes.
   virtual size_t MemoryBytes() const = 0;
 
   virtual const char* name() const = 0;
-
-  /// Serializes the architecture's complete runtime state — model, trainer
-  /// schedule position, stats, entity set, and incremental-maintenance state
-  /// (water lines, strategy accumulator, clustering order, ε-map/buffer) —
-  /// so LoadState on a freshly constructed view of the same architecture and
-  /// options reproduces answers bit-for-bit with zero retraining.
-  virtual Status SaveState(persist::StateWriter* w) const = 0;
-
-  /// Restores a SaveState blob. Must be called instead of BulkLoad, on a
-  /// view constructed with the same ViewOptions that produced the blob.
-  virtual Status LoadState(persist::StateReader* r) = 0;
 };
 
 /// \brief Shared trainer/model/stats plumbing for the concrete views.
@@ -196,13 +167,6 @@ class ViewBase : public ClassificationView {
   }
 
  protected:
-  /// Serializes / restores the state shared by every architecture: the
-  /// model, the trainer's learning-rate schedule position, and the stats
-  /// counters. Concrete SaveState/LoadState implementations call these
-  /// first, then handle their own structures.
-  Status SaveBaseState(persist::StateWriter* w) const;
-  Status LoadBaseState(persist::StateReader* r);
-
   /// Makes the view's materialized state consistent with the current model
   /// (a full reclassify or reorganization, depending on architecture).
   virtual Status SyncToModel() = 0;

@@ -18,10 +18,9 @@
 // Entity payloads are shared across epochs through sealed chunks: an
 // update-only batch publishes in O(d) (one model copy); a batch that
 // appended entities seals those appends into one new chunk and reuses every
-// earlier chunk. The entity store is an in-memory copy of the view's
-// entity set — deliberate memory-for-concurrency trade (the on-disk
-// architectures' heap pages mutate in place and cannot be shared with
-// lock-free readers).
+// earlier chunk. In the engine the store builder is a view's only copy of
+// its entity set (engine::ManagedView); the core architectures keep their
+// own.
 //
 // All Members reads use the paper's water lines (§3.2, Lemma 3.1) instead
 // of rescoring every entity. Each sealed chunk lazily carries an eps column:

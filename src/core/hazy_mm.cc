@@ -8,7 +8,6 @@
 #include "common/strings.h"
 #include "common/timer.h"
 #include "core/scan_pipeline.h"
-#include "persist/serde.h"
 
 namespace hazy::core {
 
@@ -391,67 +390,11 @@ StatusOr<std::vector<int64_t>> HazyMMView::TopUncertain(size_t k) {
   return out;
 }
 
-namespace {
-constexpr uint32_t kHazyMMTag = persist::MakeTag('H', 'M', 'M', '1');
-}  // namespace
-
-Status HazyMMView::SaveState(persist::StateWriter* w) const {
-  HAZY_RETURN_NOT_OK(SaveBaseState(w));
-  w->PutTag(kHazyMMTag);
-  // Rows in their eps-clustered order: reloading preserves the exact layout
-  // (and hence exactly which tuples the next window pass will touch).
-  w->PutU64(rows_.size());
-  for (const auto& r : rows_) {
-    w->PutI64(r.id);
-    w->PutDouble(r.eps);
-    w->PutI32(r.label);
-    w->PutFeatureVector(r.features);
-  }
-  water_.SaveState(w);
-  strategy_->SaveState(w);
-  w->PutDouble(reorg_cost_);
-  w->PutDouble(max_norm_q_);
-  return Status::OK();
-}
-
-Status HazyMMView::LoadState(persist::StateReader* r) {
-  HAZY_RETURN_NOT_OK(LoadBaseState(r));
-  HAZY_RETURN_NOT_OK(r->ExpectTag(kHazyMMTag));
-  uint64_t n = 0;
-  HAZY_RETURN_NOT_OK(r->GetU64(&n));
-  HAZY_RETURN_NOT_OK(r->CheckCount(n));
-  rows_.clear();
-  rows_.reserve(n);
-  index_.clear();
-  index_.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    Row row;
-    HAZY_RETURN_NOT_OK(r->GetI64(&row.id));
-    HAZY_RETURN_NOT_OK(r->GetDouble(&row.eps));
-    int32_t label = 0;
-    HAZY_RETURN_NOT_OK(r->GetI32(&label));
-    row.label = label;
-    HAZY_RETURN_NOT_OK(r->GetFeatureVector(&row.features));
-    index_[row.id] = rows_.size();
-    rows_.push_back(std::move(row));
-  }
-  HAZY_RETURN_NOT_OK(water_.LoadState(r));
-  HAZY_RETURN_NOT_OK(strategy_->LoadState(r));
-  HAZY_RETURN_NOT_OK(r->GetDouble(&reorg_cost_));
-  return r->GetDouble(&max_norm_q_);
-}
-
 size_t HazyMMView::MemoryBytes() const {
   size_t b = rows_.capacity() * sizeof(Row) +
              index_.size() * (sizeof(int64_t) + sizeof(size_t) + 2 * sizeof(void*));
   for (const auto& r : rows_) b += r.features.ApproxBytes() - sizeof(ml::FeatureVector);
   return b;
-}
-
-Status HazyMMView::ExportEntities(std::vector<Entity>* out) const {
-  out->reserve(out->size() + rows_.size());
-  for (const auto& r : rows_) out->push_back(Entity{r.id, r.features});
-  return Status::OK();
 }
 
 }  // namespace hazy::core

@@ -39,18 +39,9 @@ class HazyMMView : public ViewBase {
   const char* name() const override {
     return options_.mode == Mode::kEager ? "hazy-mm-eager" : "hazy-mm-lazy";
   }
-  Status SaveState(persist::StateWriter* w) const override;
-  Status LoadState(persist::StateReader* r) override;
-  Status ExportEntities(std::vector<Entity>* out) const override;
 
   /// Current water lines (exposed for experiments like Fig 13).
   const WaterLineTracker& water() const { return water_; }
-
-  bool WaterLines(double* low, double* high) const override {
-    *low = water_.low_water();
-    *high = water_.high_water();
-    return true;
-  }
 
   /// Number of tuples currently inside [lw, hw) — the Fig 13 series.
   size_t WindowSize() const;

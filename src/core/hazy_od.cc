@@ -5,7 +5,6 @@
 #include "common/strings.h"
 #include "common/timer.h"
 #include "core/scan_pipeline.h"
-#include "persist/serde.h"
 
 namespace hazy::core {
 
@@ -395,88 +394,6 @@ StatusOr<uint64_t> HazyODView::AllMembersCount(int label) {
   return EagerMembersScan(label, nullptr);
 }
 
-namespace {
-constexpr uint32_t kHazyODTag = persist::MakeTag('H', 'O', 'D', '1');
-}  // namespace
-
-Status HazyODView::SaveState(persist::StateWriter* w) const {
-  HAZY_RETURN_NOT_OK(SaveBaseState(w));
-  w->PutTag(kHazyODTag);
-  w->PutU64(num_rows_);
-  // Records in heap order (clustered order plus any appended tail): the
-  // reload reproduces the exact physical layout, so window scans and
-  // Skiing's accounting resume as if the process had never exited.
-  Status inner;
-  HAZY_RETURN_NOT_OK(heap_->Scan([&](storage::Rid, std::string_view bytes) {
-    auto rec = DecodeEntityRecord(bytes);
-    if (!rec.ok()) {
-      inner = rec.status();
-      return false;
-    }
-    w->PutI64(rec->id);
-    w->PutDouble(rec->eps);
-    w->PutI32(rec->label);
-    w->PutFeatureVector(rec->features);
-    return true;
-  }));
-  HAZY_RETURN_NOT_OK(inner);
-  water_.SaveState(w);
-  strategy_->SaveState(w);
-  w->PutDouble(reorg_cost_);
-  w->PutDouble(max_norm_q_);
-  return Status::OK();
-}
-
-Status HazyODView::LoadState(persist::StateReader* r) {
-  HAZY_RETURN_NOT_OK(LoadBaseState(r));
-  HAZY_RETURN_NOT_OK(r->ExpectTag(kHazyODTag));
-  uint64_t n = 0;
-  HAZY_RETURN_NOT_OK(r->GetU64(&n));
-  HAZY_RETURN_NOT_OK(r->CheckCount(n));
-  HAZY_RETURN_NOT_OK(heap_->Create());
-  HAZY_RETURN_NOT_OK(tree_->Create());
-  id_index_.Reserve(n);
-  std::vector<std::pair<storage::BtKey, uint64_t>> tree_entries;
-  tree_entries.reserve(n);
-  std::string buf;
-  for (uint64_t i = 0; i < n; ++i) {
-    EntityRecord rec;
-    HAZY_RETURN_NOT_OK(r->GetI64(&rec.id));
-    HAZY_RETURN_NOT_OK(r->GetDouble(&rec.eps));
-    HAZY_RETURN_NOT_OK(r->GetI32(&rec.label));
-    HAZY_RETURN_NOT_OK(r->GetFeatureVector(&rec.features));
-    EncodeEntityRecord(rec, &buf);
-    HAZY_ASSIGN_OR_RETURN(storage::Rid rid, heap_->Append(buf));
-    id_index_.Put(rec.id, rid);
-    tree_entries.emplace_back(KeyFor(rec.eps, rec.id), rid.Pack());
-  }
-  // The heap keeps save order, but the B+-tree bulk load needs sorted keys
-  // (entities appended since the last reorganization sit out of order).
-  std::sort(tree_entries.begin(), tree_entries.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  HAZY_RETURN_NOT_OK(tree_->BulkLoad(tree_entries));
-  num_rows_ = n;
-  HAZY_RETURN_NOT_OK(water_.LoadState(r));
-  HAZY_RETURN_NOT_OK(strategy_->LoadState(r));
-  HAZY_RETURN_NOT_OK(r->GetDouble(&reorg_cost_));
-  return r->GetDouble(&max_norm_q_);
-}
-
 size_t HazyODView::MemoryBytes() const { return id_index_.ApproxBytes(); }
-
-Status HazyODView::ExportEntities(std::vector<Entity>* out) const {
-  out->reserve(out->size() + num_rows_);
-  Status inner;
-  HAZY_RETURN_NOT_OK(heap_->Scan([&](storage::Rid, std::string_view bytes) {
-    auto rec = DecodeEntityRecord(bytes);
-    if (!rec.ok()) {
-      inner = rec.status();
-      return false;
-    }
-    out->push_back(Entity{rec->id, std::move(rec->features)});
-    return true;
-  }));
-  return inner;
-}
 
 }  // namespace hazy::core

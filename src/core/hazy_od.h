@@ -55,19 +55,9 @@ class HazyODView : public ViewBase {
     return options_.mode == Mode::kEager ? "hazy-od-eager" : "hazy-od-lazy";
   }
 
-  Status SaveState(persist::StateWriter* w) const override;
-  Status LoadState(persist::StateReader* r) override;
-  /// Heap export shared with HybridView (the buffer/ε-map are caches over
-  /// the same records).
-  Status ExportEntities(std::vector<Entity>* out) const override;
 
   const WaterLineTracker& water() const { return water_; }
 
-  bool WaterLines(double* low, double* high) const override {
-    *low = water_.low_water();
-    *high = water_.high_water();
-    return true;
-  }
   uint64_t DiskBytes() const { return (heap_->num_pages() + tree_->num_pages()) *
                                       storage::kPageSize; }
   uint64_t num_rows() const { return num_rows_; }

@@ -5,78 +5,8 @@
 
 #include "common/strings.h"
 #include "core/scan_pipeline.h"
-#include "persist/serde.h"
 
 namespace hazy::core {
-
-namespace {
-constexpr uint32_t kHybridTag = persist::MakeTag('H', 'Y', 'B', '1');
-}  // namespace
-
-Status HybridView::SaveState(persist::StateWriter* w) const {
-  HAZY_RETURN_NOT_OK(HazyODView::SaveState(w));
-  w->PutTag(kHybridTag);
-  // Both maps serialize in canonical id order, not hash-table order, so
-  // logically identical states are byte-identical (the crash-recovery
-  // exactness contract; same entry-pointer-sort pattern as
-  // Vocabulary::SaveState).
-  std::vector<const std::pair<const int64_t, double>*> eps_sorted;
-  eps_sorted.reserve(eps_map_.size());
-  for (const auto& entry : eps_map_) eps_sorted.push_back(&entry);
-  std::sort(eps_sorted.begin(), eps_sorted.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  w->PutU64(eps_map_.size());
-  for (const auto* entry : eps_sorted) {
-    w->PutI64(entry->first);
-    w->PutDouble(entry->second);
-  }
-  // Buffer labels are the source of truth for buffered window tuples, so
-  // the buffer must round-trip verbatim (features included — they may lag
-  // the on-disk record only in label, but storing them keeps load simple).
-  std::vector<const std::pair<const int64_t, BufferedEntity>*> buf_sorted;
-  buf_sorted.reserve(buffer_.size());
-  for (const auto& entry : buffer_) buf_sorted.push_back(&entry);
-  std::sort(buf_sorted.begin(), buf_sorted.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  w->PutU64(buffer_.size());
-  for (const auto* entry : buf_sorted) {
-    w->PutI64(entry->first);
-    w->PutI32(entry->second.label);
-    w->PutFeatureVector(entry->second.features);
-  }
-  return Status::OK();
-}
-
-Status HybridView::LoadState(persist::StateReader* r) {
-  HAZY_RETURN_NOT_OK(HazyODView::LoadState(r));
-  HAZY_RETURN_NOT_OK(r->ExpectTag(kHybridTag));
-  uint64_t n = 0;
-  HAZY_RETURN_NOT_OK(r->GetU64(&n));
-  HAZY_RETURN_NOT_OK(r->CheckCount(n, 16));  // i64 id + double eps
-  eps_map_.clear();
-  eps_map_.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    int64_t id = 0;
-    double eps = 0.0;
-    HAZY_RETURN_NOT_OK(r->GetI64(&id));
-    HAZY_RETURN_NOT_OK(r->GetDouble(&eps));
-    eps_map_[id] = eps;
-  }
-  HAZY_RETURN_NOT_OK(r->GetU64(&n));
-  HAZY_RETURN_NOT_OK(r->CheckCount(n));
-  buffer_.clear();
-  buffer_.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    int64_t id = 0;
-    int32_t label = 0;
-    ml::FeatureVector f;
-    HAZY_RETURN_NOT_OK(r->GetI64(&id));
-    HAZY_RETURN_NOT_OK(r->GetI32(&label));
-    HAZY_RETURN_NOT_OK(r->GetFeatureVector(&f));
-    buffer_.emplace(id, BufferedEntity{std::move(f), label});
-  }
-  return Status::OK();
-}
 
 void HybridView::OnReorganized(const std::vector<EntityRecord>& sorted,
                                const std::vector<storage::Rid>& rids) {

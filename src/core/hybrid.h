@@ -29,8 +29,6 @@ class HybridView : public HazyODView {
 
   StatusOr<int> SingleEntityRead(int64_t id) override;
   size_t MemoryBytes() const override;
-  Status SaveState(persist::StateWriter* w) const override;
-  Status LoadState(persist::StateReader* r) override;
   const char* name() const override {
     return options_.mode == Mode::kEager ? "hybrid-eager" : "hybrid-lazy";
   }

@@ -4,7 +4,6 @@
 #include "common/strings.h"
 #include "common/timer.h"
 #include "core/scan_pipeline.h"
-#include "persist/serde.h"
 
 namespace hazy::core {
 
@@ -131,56 +130,11 @@ StatusOr<uint64_t> NaiveMMView::AllMembersCount(int label) {
   return n;
 }
 
-namespace {
-constexpr uint32_t kNaiveMMTag = persist::MakeTag('N', 'M', 'M', '1');
-}  // namespace
-
-Status NaiveMMView::SaveState(persist::StateWriter* w) const {
-  HAZY_RETURN_NOT_OK(SaveBaseState(w));
-  w->PutTag(kNaiveMMTag);
-  w->PutU64(rows_.size());
-  for (const auto& r : rows_) {
-    w->PutI64(r.id);
-    w->PutI32(r.label);
-    w->PutFeatureVector(r.features);
-  }
-  return Status::OK();
-}
-
-Status NaiveMMView::LoadState(persist::StateReader* r) {
-  HAZY_RETURN_NOT_OK(LoadBaseState(r));
-  HAZY_RETURN_NOT_OK(r->ExpectTag(kNaiveMMTag));
-  uint64_t n = 0;
-  HAZY_RETURN_NOT_OK(r->GetU64(&n));
-  HAZY_RETURN_NOT_OK(r->CheckCount(n));
-  rows_.clear();
-  rows_.reserve(n);
-  index_.clear();
-  index_.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    Row row;
-    HAZY_RETURN_NOT_OK(r->GetI64(&row.id));
-    int32_t label = 0;
-    HAZY_RETURN_NOT_OK(r->GetI32(&label));
-    row.label = label;
-    HAZY_RETURN_NOT_OK(r->GetFeatureVector(&row.features));
-    index_[row.id] = rows_.size();
-    rows_.push_back(std::move(row));
-  }
-  return Status::OK();
-}
-
 size_t NaiveMMView::MemoryBytes() const {
   size_t b = rows_.capacity() * sizeof(Row) +
              index_.size() * (sizeof(int64_t) + sizeof(size_t) + 2 * sizeof(void*));
   for (const auto& r : rows_) b += r.features.ApproxBytes() - sizeof(ml::FeatureVector);
   return b;
-}
-
-Status NaiveMMView::ExportEntities(std::vector<Entity>* out) const {
-  out->reserve(out->size() + rows_.size());
-  for (const auto& r : rows_) out->push_back(Entity{r.id, r.features});
-  return Status::OK();
 }
 
 }  // namespace hazy::core

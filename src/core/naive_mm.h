@@ -30,9 +30,6 @@ class NaiveMMView : public ViewBase {
   const char* name() const override {
     return options_.mode == Mode::kEager ? "naive-mm-eager" : "naive-mm-lazy";
   }
-  Status SaveState(persist::StateWriter* w) const override;
-  Status LoadState(persist::StateReader* r) override;
-  Status ExportEntities(std::vector<Entity>* out) const override;
 
  protected:
   Status SyncToModel() override {

@@ -5,7 +5,6 @@
 #include "common/strings.h"
 #include "common/timer.h"
 #include "core/scan_pipeline.h"
-#include "persist/serde.h"
 
 namespace hazy::core {
 
@@ -161,71 +160,6 @@ StatusOr<uint64_t> NaiveODView::AllMembersCount(int label) {
   return n;
 }
 
-namespace {
-constexpr uint32_t kNaiveODTag = persist::MakeTag('N', 'O', 'D', '1');
-}  // namespace
-
-Status NaiveODView::SaveState(persist::StateWriter* w) const {
-  HAZY_RETURN_NOT_OK(SaveBaseState(w));
-  w->PutTag(kNaiveODTag);
-  w->PutU64(num_rows_);
-  // The checkpoint is self-contained: records are snapshotted into the blob
-  // (in heap order) and the heap is rebuilt at load, so the restored view
-  // does not depend on the old heap pages still being intact.
-  Status inner;
-  HAZY_RETURN_NOT_OK(heap_.Scan([&](storage::Rid, std::string_view bytes) {
-    auto rec = DecodeEntityRecord(bytes);
-    if (!rec.ok()) {
-      inner = rec.status();
-      return false;
-    }
-    w->PutI64(rec->id);
-    w->PutDouble(rec->eps);
-    w->PutI32(rec->label);
-    w->PutFeatureVector(rec->features);
-    return true;
-  }));
-  return inner;
-}
-
-Status NaiveODView::LoadState(persist::StateReader* r) {
-  HAZY_RETURN_NOT_OK(LoadBaseState(r));
-  HAZY_RETURN_NOT_OK(r->ExpectTag(kNaiveODTag));
-  uint64_t n = 0;
-  HAZY_RETURN_NOT_OK(r->GetU64(&n));
-  HAZY_RETURN_NOT_OK(r->CheckCount(n));
-  HAZY_RETURN_NOT_OK(heap_.Create());
-  id_index_.Reserve(n);
-  std::string buf;
-  for (uint64_t i = 0; i < n; ++i) {
-    EntityRecord rec;
-    HAZY_RETURN_NOT_OK(r->GetI64(&rec.id));
-    HAZY_RETURN_NOT_OK(r->GetDouble(&rec.eps));
-    HAZY_RETURN_NOT_OK(r->GetI32(&rec.label));
-    HAZY_RETURN_NOT_OK(r->GetFeatureVector(&rec.features));
-    EncodeEntityRecord(rec, &buf);
-    HAZY_ASSIGN_OR_RETURN(storage::Rid rid, heap_.Append(buf));
-    id_index_.Put(rec.id, rid);
-  }
-  num_rows_ = n;
-  return Status::OK();
-}
-
 size_t NaiveODView::MemoryBytes() const { return id_index_.ApproxBytes(); }
-
-Status NaiveODView::ExportEntities(std::vector<Entity>* out) const {
-  out->reserve(out->size() + num_rows_);
-  Status inner;
-  HAZY_RETURN_NOT_OK(heap_.Scan([&](storage::Rid, std::string_view bytes) {
-    auto rec = DecodeEntityRecord(bytes);
-    if (!rec.ok()) {
-      inner = rec.status();
-      return false;
-    }
-    out->push_back(Entity{rec->id, std::move(rec->features)});
-    return true;
-  }));
-  return inner;
-}
 
 }  // namespace hazy::core

@@ -35,9 +35,6 @@ class NaiveODView : public ViewBase {
     return options_.mode == Mode::kEager ? "naive-od-eager" : "naive-od-lazy";
   }
 
-  Status SaveState(persist::StateWriter* w) const override;
-  Status LoadState(persist::StateReader* r) override;
-  Status ExportEntities(std::vector<Entity>* out) const override;
 
   /// On-disk footprint (pages held by the heap).
   uint64_t DiskBytes() const { return heap_.SizeBytes(); }

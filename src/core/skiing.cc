@@ -5,26 +5,8 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "persist/serde.h"
 
 namespace hazy::core {
-
-namespace {
-constexpr uint32_t kStrategyTag = persist::MakeTag('S', 'T', 'R', 'A');
-}  // namespace
-
-void MaintenanceStrategy::SaveState(persist::StateWriter* w) const {
-  w->PutTag(kStrategyTag);
-  w->PutDouble(StateValue());
-}
-
-Status MaintenanceStrategy::LoadState(persist::StateReader* r) {
-  HAZY_RETURN_NOT_OK(r->ExpectTag(kStrategyTag));
-  double v = 0.0;
-  HAZY_RETURN_NOT_OK(r->GetDouble(&v));
-  SetStateValue(v);
-  return Status::OK();
-}
 
 double SkiingStrategy::OptimalAlpha(double sigma) {
   return (-sigma + std::sqrt(sigma * sigma + 4.0)) / 2.0;

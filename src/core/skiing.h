@@ -20,12 +20,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/status.h"
-
-namespace hazy::persist {
-class StateWriter;
-class StateReader;
-}  // namespace hazy::persist
 
 namespace hazy::core {
 
@@ -45,16 +39,6 @@ class MaintenanceStrategy {
   virtual void OnReorganize() = 0;
 
   virtual const char* name() const = 0;
-
-  /// Checkpoints the strategy's accumulated online state (Skiing's a,
-  /// Periodic's round counter); configuration lives in ViewOptions.
-  virtual void SaveState(persist::StateWriter* w) const;
-  virtual Status LoadState(persist::StateReader* r);
-
- protected:
-  /// The single scalar of online state a strategy carries (0 if stateless).
-  virtual double StateValue() const { return 0.0; }
-  virtual void SetStateValue(double v) { (void)v; }
 };
 
 /// Skiing (Figure 7): reorganize when accumulated cost a >= alpha * S.
@@ -75,10 +59,6 @@ class SkiingStrategy : public MaintenanceStrategy {
   /// The analysis-optimal alpha for a given sigma (scan/reorg ratio): the
   /// positive root of x^2 + sigma*x - 1.
   static double OptimalAlpha(double sigma);
-
- protected:
-  double StateValue() const override { return accumulated_; }
-  void SetStateValue(double v) override { accumulated_ = v; }
 
  private:
   double alpha_;
@@ -111,10 +91,6 @@ class PeriodicReorganize : public MaintenanceStrategy {
   void OnIncrementalCost(double) override { ++rounds_since_; }
   void OnReorganize() override { rounds_since_ = 0; }
   const char* name() const override { return "periodic"; }
-
- protected:
-  double StateValue() const override { return rounds_since_; }
-  void SetStateValue(double v) override { rounds_since_ = static_cast<int>(v); }
 
  private:
   int period_;

@@ -10,8 +10,6 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "common/timer.h"
-#include "core/view_factory.h"
-#include "ml/model_selection.h"
 #include "obs/stats_collectors.h"
 #include "obs/trace.h"
 #include "persist/checkpoint.h"
@@ -23,95 +21,71 @@ namespace hazy::engine {
 using storage::Row;
 using storage::Value;
 
-Status ManagedView::Flush() {
-  if (pending_.empty()) return Status::OK();
-  obs::TraceScope drain_span(obs::SpanKind::kTriggerDrain);
-  // A mid-batch read is folding the queue early: log the fold point, so
-  // replay reproduces the exact same UpdateBatch boundaries (they are
-  // visible in eps/water bookkeeping, not just in answers).
-  if (db_ != nullptr && db_->wal() != nullptr && db_->in_update_batch()) {
-    std::string payload;
-    payload.push_back(static_cast<char>(storage::WalOp::kViewFlush));
-    storage::PutLengthPrefixed(&payload, def_.view_name);
-    HAZY_RETURN_NOT_OK(db_->wal()->AppendLogical(payload));
-  }
-  std::vector<ml::LabeledExample> batch;
-  batch.swap(pending_);
-  // On failure the batch is NOT requeued: every architecture folds the
-  // examples into the model before any fallible I/O, so a retry would
-  // double-train. The examples stay in example_log_, which any later
-  // rebuild (delete/update triggers) replays.
-  HAZY_RETURN_NOT_OK(view_->UpdateBatch(batch));
-  // The batch boundary is the epoch boundary: snapshot readers switch to
-  // the post-batch model here, atomically across all their queries.
-  return PublishEpoch();
+namespace {
+
+/// Hölder exponent p of the eps columns' drift bound: with ℓ1-normalized
+/// text features, p = ∞ pairs with M = max ‖f‖_1 (Section 3.2.2).
+constexpr double kHolderP = ml::kInf;
+
+ml::SgdOptions TrainerOptions(const ClassificationViewDef& def) {
+  ml::SgdOptions opts;
+  opts.loss = def.method;
+  return opts;
 }
 
-Status ManagedView::PublishEpoch() {
+}  // namespace
+
+ManagedView::ManagedView(Database* db, ClassificationViewDef def)
+    : def_(std::move(def)), db_(db), trainer_(TrainerOptions(def_)) {}
+
+void ManagedView::PublishEpoch() {
   // Not adopted yet: AdoptView publishes the first epoch.
-  if (!epochs_.HasPublished()) return Status::OK();
+  if (!epochs_.HasPublished()) return;
   if (db_->in_update_batch()) {
     // Mid-batch: publishing here would expose a partially applied statement
     // to snapshot readers and would seal one chunk per row of a multi-row
     // insert. Defer to the outermost EndUpdateBatch — the real epoch
     // boundary.
     epoch_publish_pending_ = true;
-    return Status::OK();
+    return;
   }
-  return PublishEpochNow();
+  PublishEpochNow();
 }
 
-Status ManagedView::PublishEpochNow() {
-  HAZY_ASSIGN_OR_RETURN(auto store, SealStore());
-  // Every view of a database shares view_defaults.holder_p (the per-view
-  // definition overrides only mode and loss).
-  epochs_.Publish(view_->model(), std::move(store),
-                  db_->options().view_defaults.holder_p);
+void ManagedView::PublishEpochNow() {
+  epochs_.Publish(model_, store_builder_.Seal(), kHolderP);
   epoch_publish_pending_ = false;
-  return Status::OK();
 }
 
-StatusOr<std::shared_ptr<const core::EpochEntityStore>> ManagedView::SealStore() {
-  if (store_reset_pending_) {
-    std::vector<core::Entity> ents;
-    HAZY_RETURN_NOT_OK(view_->ExportEntities(&ents));
-    store_builder_.ReplaceAll(std::move(ents));
-    store_reset_pending_ = false;
-  }
-  return store_builder_.Seal();
-}
-
-StatusOr<core::SnapshotPin> ManagedView::ReadEpoch() {
-  // Flushing folds the pending trigger queue into the core view, so the
-  // reads are writers under the statement mutex. (Both places that build
-  // a ManagedView set db_.)
-  HAZY_RETURN_NOT_OK(Flush());
+core::SnapshotPin ManagedView::ReadEpoch() {
   if (!epoch_publish_pending_) return epochs_.Pin();
-  HAZY_ASSIGN_OR_RETURN(auto store, SealStore());
   // No manager: the epoch is private to this read and never published.
-  return core::SnapshotPin(
-      nullptr, std::make_shared<const core::EpochSnapshot>(
-                   /*epoch=*/0, view_->model(), std::move(store),
-                   db_->options().view_defaults.holder_p));
+  return core::SnapshotPin(nullptr, std::make_shared<const core::EpochSnapshot>(
+                                        /*epoch=*/0, model_, store_builder_.Seal(),
+                                        kHolderP));
 }
 
-void ManagedView::RecordRead() const {
-  ++std::atomic_load(&view_)->mutable_stats()->single_reads;
+void ManagedView::Train(const ml::LabeledExample& example) {
+  const int64_t t0 = NowNanos();
+  trainer_.AddExample(&model_, example);
+  PublishEpoch();
+  ++stats_.updates;
+  stats_.total_update_seconds += static_cast<double>(NowNanos() - t0) / 1e9;
 }
+
+void ManagedView::RecordRead() const { ++stats_.single_reads; }
 
 void ManagedView::RecordRead(const core::ScanCounts& scan) const {
-  std::shared_ptr<core::ClassificationView> live = std::atomic_load(&view_);
-  core::ViewStats* stats = live->mutable_stats();
-  ++stats->all_members_queries;
+  ++stats_.all_members_queries;
   // tuples_scanned counts the rows actually rescored; the rest were
   // settled from their chunk's eps column by the water lines.
-  stats->tuples_scanned += scan.scored;
-  stats->rows_by_bounds += scan.by_bounds;
+  stats_.tuples_scanned += scan.scored;
+  stats_.rows_by_bounds += scan.by_bounds;
 }
 
 StatusOr<std::string> ManagedView::LabelOf(int64_t id) {
   std::lock_guard<std::recursive_mutex> lock(*db_->statement_mutex());
-  HAZY_ASSIGN_OR_RETURN(core::SnapshotPin snap, ReadEpoch());
+  core::SnapshotPin snap = ReadEpoch();
   RecordRead();
   HAZY_ASSIGN_OR_RETURN(int sign, snap->SingleEntityRead(id));
   return LabelString(sign);
@@ -119,7 +93,7 @@ StatusOr<std::string> ManagedView::LabelOf(int64_t id) {
 
 StatusOr<std::vector<int64_t>> ManagedView::MembersOf(const std::string& label) {
   std::lock_guard<std::recursive_mutex> lock(*db_->statement_mutex());
-  HAZY_ASSIGN_OR_RETURN(core::SnapshotPin snap, ReadEpoch());
+  core::SnapshotPin snap = ReadEpoch();
   HAZY_ASSIGN_OR_RETURN(int sign, LabelSign(label));
   core::ScanCounts counts;
   HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids, snap->AllMembers(sign, &counts));
@@ -129,7 +103,7 @@ StatusOr<std::vector<int64_t>> ManagedView::MembersOf(const std::string& label) 
 
 StatusOr<uint64_t> ManagedView::CountOf(const std::string& label) {
   std::lock_guard<std::recursive_mutex> lock(*db_->statement_mutex());
-  HAZY_ASSIGN_OR_RETURN(core::SnapshotPin snap, ReadEpoch());
+  core::SnapshotPin snap = ReadEpoch();
   HAZY_ASSIGN_OR_RETURN(int sign, LabelSign(label));
   core::ScanCounts counts;
   HAZY_ASSIGN_OR_RETURN(uint64_t n, snap->AllMembersCount(sign, &counts));
@@ -278,10 +252,7 @@ void Database::RegisterStatsCollectors() {
   stats_collectors_.push_back(obs::RegisterPagerStats(pager_.get(), labels));
   const std::shared_ptr<const ViewList> list = views();
   for (const auto& mv : *list) {
-    // Provider, not pointer: delete/relabel rebuilds swap the inner view
-    // object; the ManagedView wrapper is the stable identity.
-    view_collectors_.push_back(obs::RegisterViewStats(
-        [p = mv.get()]() { return p->view(); }, ViewLabel(mv->def())));
+    view_collectors_.push_back(obs::RegisterViewStats(&mv->stats(), ViewLabel(mv->def())));
   }
 }
 
@@ -384,18 +355,6 @@ StatusOr<std::string> Database::EntityDocument(const ManagedView& mv,
   return doc;
 }
 
-core::ViewOptions Database::EffectiveViewOptions(const ClassificationViewDef& def) const {
-  core::ViewOptions vopts = options_.view_defaults;
-  vopts.mode = def.mode;
-  vopts.sgd.loss = def.method;
-  return vopts;
-}
-
-StatusOr<std::unique_ptr<core::ClassificationView>> Database::BuildCoreView(
-    const ClassificationViewDef& def) const {
-  return core::MakeView(def.architecture, EffectiveViewOptions(def), pool_.get());
-}
-
 StatusOr<ManagedView*> Database::CreateClassificationView(
     const ClassificationViewDef& def) {
   std::lock_guard<std::recursive_mutex> lock(statement_mu_);
@@ -426,9 +385,7 @@ StatusOr<ManagedView*> Database::CreateClassificationView(
   HAZY_RETURN_NOT_OK(examples->schema().IndexOf(def.example_key).status());
   HAZY_RETURN_NOT_OK(examples->schema().IndexOf(def.example_label).status());
 
-  auto mv = std::make_unique<ManagedView>();
-  mv->def_ = def;
-  mv->db_ = this;
+  auto mv = std::make_unique<ManagedView>(this, def);
 
   // Enumerate the label vocabulary (binary views: exactly two labels).
   HAZY_RETURN_NOT_OK(label_table->Scan([&](const Row& row) {
@@ -476,9 +433,7 @@ StatusOr<ManagedView*> Database::CreateClassificationView(
     HAZY_ASSIGN_OR_RETURN(ml::FeatureVector f, mv->feature_fn_->ComputeFeature(corpus[i]));
     ents.push_back(core::Entity{ids[i], std::move(f)});
   }
-
-  HAZY_ASSIGN_OR_RETURN(mv->view_, BuildCoreView(def));
-  HAZY_RETURN_NOT_OK(mv->view_->BulkLoad(ents));
+  mv->store_builder_.ReplaceAll(std::move(ents));
 
   // Replay any pre-existing training examples, then arm the triggers.
   ManagedView* raw = mv.get();
@@ -495,8 +450,7 @@ StatusOr<ManagedView*> Database::CreateClassificationView(
   // During recovery replay the collectors are not yet registered;
   // RegisterStatsCollectors picks the view up once the database is live.
   if (!stats_collectors_.empty()) {
-    view_collectors_.push_back(obs::RegisterViewStats(
-        [raw]() { return raw->view(); }, ViewLabel(def)));
+    view_collectors_.push_back(obs::RegisterViewStats(&raw->stats(), ViewLabel(def)));
   }
 
   if (wal_) {
@@ -516,7 +470,7 @@ StatusOr<ManagedView*> Database::CreateClassificationView(
 StatusOr<ManagedView*> Database::AdoptView(std::unique_ptr<ManagedView> mv) {
   ManagedView* raw = mv.get();
   raw->epochs_.SetMetricLabels(ViewLabel(raw->def()));
-  HAZY_RETURN_NOT_OK(raw->PublishEpochNow());
+  raw->PublishEpochNow();
   auto next = std::make_shared<ViewList>(*views());
   next->push_back(std::move(mv));
   std::atomic_store(&views_, std::shared_ptr<const ViewList>(std::move(next)));
@@ -531,9 +485,11 @@ Status Database::ArmTriggers(ManagedView* raw) {
   entities->AddInsertTrigger([this, raw](const Row& row) {
     return OnEntityInsert(raw, row);
   });
-  entities->AddUpdateTrigger([this, raw](const Row& old_row, const Row& new_row) {
-    return OnEntityUpdate(raw, old_row, new_row);
-  });
+  // An entity tuple that changes or leaves changes the entity set, and
+  // with it the features: retrain (paper footnote 2).
+  entities->AddUpdateTrigger(
+      [this, raw](const Row&, const Row&) { return RebuildFromScratch(raw); });
+  entities->AddDeleteTrigger([this, raw](const Row&) { return RebuildFromScratch(raw); });
   examples->AddInsertTrigger([this, raw](const Row& row) {
     return OnExampleInsert(raw, row);
   });
@@ -557,24 +513,15 @@ Status Database::EndUpdateBatch() {
     return Status::InvalidArgument("EndUpdateBatch without BeginUpdateBatch");
   }
   if (--batch_depth_ > 0) return Status::OK();
-  // batch_depth_ is back to 0, so the publishes below are real. Flush
-  // publishes when it drains pending examples; an entity-only batch
-  // leaves nothing pending (Flush early-returns), so the epoch its
-  // triggers deferred is published explicitly — exactly one epoch per
-  // outermost batch either way.
-  Status first_error;
+  // batch_depth_ is back to 0, so the publishes below are real: exactly
+  // one epoch per view the batch changed.
   const std::shared_ptr<const ViewList> list = views();
   for (const auto& v : *list) {
-    Status s = v->Flush();
-    if (s.ok() && v->epoch_publish_pending_) s = v->PublishEpoch();
-    if (!s.ok() && first_error.ok()) first_error = s;
+    if (v->epoch_publish_pending_) v->PublishEpochNow();
   }
-  if (wal_) {
-    // One commit marker covers the whole batch; replay re-brackets it in
-    // BeginUpdateBatch/EndUpdateBatch so the amortized fold is reproduced.
-    Status s = wal_->EndGroup();
-    if (!s.ok() && first_error.ok()) first_error = s;
-  }
+  // One commit marker covers the whole batch; replay re-brackets it in
+  // BeginUpdateBatch/EndUpdateBatch, so it publishes one epoch again.
+  const Status committed = wal_ ? wal_->EndGroup() : Status::OK();
   // The boundary consults the daemon's byte threshold directly, so the WAL
   // bound holds deterministically for batched ingest even when a batch
   // outpaces the daemon's poll.
@@ -583,7 +530,7 @@ Status Database::EndUpdateBatch() {
     if (threshold > 0 && wal_->tail_bytes() >= threshold) RequestCheckpoint();
   }
   CheckpointIfRequested();
-  return first_error;
+  return committed;
 }
 
 void Database::CheckpointIfRequested() {
@@ -600,9 +547,6 @@ void Database::CheckpointIfRequested() {
 }
 
 Status Database::OnEntityInsert(ManagedView* mv, const Row& row) {
-  // An arriving entity is classified under the view's current model; apply
-  // any queued training examples first so batching cannot reorder the two.
-  HAZY_RETURN_NOT_OK(mv->Flush());
   HAZY_ASSIGN_OR_RETURN(storage::Table * entities,
                         catalog_->GetTable(mv->def_.entity_table));
   HAZY_ASSIGN_OR_RETURN(size_t key_idx, entities->schema().IndexOf(mv->def_.entity_key));
@@ -613,12 +557,10 @@ Status Database::OnEntityInsert(ManagedView* mv, const Row& row) {
   HAZY_ASSIGN_OR_RETURN(std::string doc, EntityDocument(*mv, row));
   HAZY_RETURN_NOT_OK(mv->feature_fn_->ComputeStatsInc(doc));
   HAZY_ASSIGN_OR_RETURN(ml::FeatureVector f, mv->feature_fn_->ComputeFeature(doc));
-  core::Entity ent{std::get<int64_t>(kv), std::move(f)};
-  HAZY_RETURN_NOT_OK(mv->view_->AddEntity(ent));
-  // Mirror the append into the snapshot store builder (sealed into a chunk
-  // at the next publish); a pending reset re-exports everything anyway.
-  if (!mv->store_reset_pending_) mv->store_builder_.Append(ent);
-  return mv->PublishEpoch();
+  // Sealed into a chunk at the next publish.
+  mv->store_builder_.Append(core::Entity{std::get<int64_t>(kv), std::move(f)});
+  mv->PublishEpoch();
+  return Status::OK();
 }
 
 Status Database::OnExampleInsert(ManagedView* mv, const Row& row) {
@@ -643,15 +585,8 @@ Status Database::OnExampleInsert(ManagedView* mv, const Row& row) {
   HAZY_ASSIGN_OR_RETURN(ml::FeatureVector f, mv->feature_fn_->ComputeFeature(doc));
 
   mv->example_log_.emplace_back(id, sign);
-  if (batch_depth_ > 0) {
-    // Batched-trigger mode: queue the maintenance work; ManagedView::Flush
-    // applies the whole queue as one UpdateBatch.
-    mv->pending_.push_back(ml::LabeledExample{id, std::move(f), sign});
-    return Status::OK();
-  }
-  HAZY_RETURN_NOT_OK(mv->view_->Update(ml::LabeledExample{id, std::move(f), sign}));
-  // An unbatched update is its own batch: publish the post-update epoch.
-  return mv->PublishEpoch();
+  mv->Train(ml::LabeledExample{id, std::move(f), sign});
+  return Status::OK();
 }
 
 Status Database::OnExampleDelete(ManagedView* mv, const Row& row) {
@@ -667,16 +602,6 @@ Status Database::OnExampleDelete(ManagedView* mv, const Row& row) {
                          [&](const auto& p) { return p.first == id; });
   if (it != mv->example_log_.end()) mv->example_log_.erase(it);
   // Paper footnote 2: deletions retrain the model from scratch.
-  return RebuildFromScratch(mv);
-}
-
-Status Database::OnEntityUpdate(ManagedView* mv, const Row& old_row,
-                                const Row& new_row) {
-  (void)old_row;
-  (void)new_row;
-  // An entity's tuple (hence its features) changed: conservatively rebuild
-  // the view, like the paper's non-incremental handling of mutations that
-  // the incremental algorithms do not cover.
   return RebuildFromScratch(mv);
 }
 
@@ -708,8 +633,6 @@ Status Database::OnExampleUpdate(ManagedView* mv, const Row& old_row,
 }
 
 Status Database::RebuildFromScratch(ManagedView* mv) {
-  // Queued examples are already in example_log_, which the rebuild replays.
-  mv->pending_.clear();
   HAZY_ASSIGN_OR_RETURN(storage::Table * entities,
                         catalog_->GetTable(mv->def_.entity_table));
   HAZY_ASSIGN_OR_RETURN(size_t key_idx, entities->schema().IndexOf(mv->def_.entity_key));
@@ -732,29 +655,19 @@ Status Database::RebuildFromScratch(ManagedView* mv) {
   }));
   HAZY_RETURN_NOT_OK(inner);
 
-  HAZY_ASSIGN_OR_RETURN(auto fresh, BuildCoreView(mv->def_));
-  HAZY_RETURN_NOT_OK(fresh->BulkLoad(ents));
-  // Replay the remaining training examples as one batch: a retrain only
-  // needs the final model's labels, so per-example view maintenance during
-  // the replay is pure waste.
+  // A fresh model, trained on the remaining examples in commit order.
+  mv->model_ = ml::LinearModel{};
+  mv->trainer_ = ml::SgdTrainer(mv->trainer_.options());
   std::unordered_map<int64_t, const ml::FeatureVector*> by_id;
   for (const auto& e : ents) by_id[e.id] = &e.features;
-  std::vector<ml::LabeledExample> replay;
-  replay.reserve(mv->example_log_.size());
   for (const auto& [id, sign] : mv->example_log_) {
     auto fit = by_id.find(id);
     if (fit == by_id.end()) continue;  // entity itself was deleted
-    replay.push_back(ml::LabeledExample{id, *fit->second, sign});
+    mv->trainer_.AddExample(&mv->model_, ml::LabeledExample{id, *fit->second, sign});
   }
-  HAZY_RETURN_NOT_OK(fresh->UpdateBatch(replay));
-  // Swap atomically: a concurrent RecordRead may hold a handle to the old
-  // object (it stays alive until the reader drops it).
-  std::atomic_store(&mv->view_,
-                    std::shared_ptr<core::ClassificationView>(std::move(fresh)));
-  // The entity set may have changed identity-wise; re-seed the snapshot
-  // store from the rebuilt view at the next publish.
-  mv->store_reset_pending_ = true;
-  return mv->PublishEpoch();
+  mv->store_builder_.ReplaceAll(std::move(ents));
+  mv->PublishEpoch();
+  return Status::OK();
 }
 
 Status Database::ApplyWalOp(std::string_view payload) {
@@ -825,12 +738,6 @@ Status Database::ApplyWalOp(std::string_view payload) {
       ClassificationViewDef def;
       HAZY_RETURN_NOT_OK(persist::GetViewDef(&r, &def));
       return CreateClassificationView(def).status();
-    }
-    case storage::WalOp::kViewFlush: {
-      std::string name;
-      HAZY_RETURN_NOT_OK(get_string(&name));
-      HAZY_ASSIGN_OR_RETURN(ManagedView * mv, GetView(name));
-      return mv->Flush();
     }
   }
   return Status::Corruption("unknown logical wal op");
@@ -982,7 +889,6 @@ Status Database::Compact() {
     DatabaseOptions opts;
     opts.path = tmp_path;
     opts.buffer_pool_pages = options_.buffer_pool_pages;
-    opts.view_defaults = options_.view_defaults;
     opts.wal = options_.wal;
     Database fresh(opts);
     Status s = CopyCompactInto(&fresh);

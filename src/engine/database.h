@@ -19,6 +19,8 @@
 #include "core/view_factory.h"
 #include "features/feature_function.h"
 #include "ml/loss.h"
+#include "ml/model.h"
+#include "ml/sgd.h"
 #include "persist/checkpoint_daemon.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
@@ -49,26 +51,43 @@ struct ClassificationViewDef {
   std::string example_label;     ///< ... LABEL <col>
 
   std::string feature_function = "tf_bag_of_words";  ///< FEATURE FUNCTION <f>
-  ml::LossKind method = ml::LossKind::kHinge;        ///< USING SVM | ...
-  bool method_specified = false;  ///< false: Hazy model-selects (§2.1)
+  ml::LossKind method = ml::LossKind::kHinge;        ///< USING <method>; default SVM
 
+  /// ARCHITECTURE and MODE are recorded (DDL, WAL, checkpoint, metric
+  /// labels) but select nothing in the engine yet: every view is answered
+  /// from its epochs. The paper's architectures run in core:: (ViewHarness).
   core::Architecture architecture = core::Architecture::kHazyMM;
   core::Mode mode = core::Mode::kEager;
 };
 
 class Database;
 
-/// \brief A live classification view: feature function + core view +
-/// label-string mapping + the replay log used for delete-triggered retrain.
+/// \brief A live classification view: the feature function, the model and
+/// its SGD trainer, the label-string mapping, the example log replayed by a
+/// retrain, and the epoch store builder — the view's only copy of its
+/// entity set. Every read answers from a published epoch.
 class ManagedView {
  public:
+  /// A view of `def` with an untrained model, owned by `db`.
+  ManagedView(Database* db, ClassificationViewDef def);
+
   const std::string& name() const { return def_.view_name; }
   const ClassificationViewDef& def() const { return def_; }
-  core::ClassificationView* view() { return view_.get(); }
-  const core::ClassificationView* view() const { return view_.get(); }
+
+  /// The current model: every example folded so far (statement mutex
+  /// held by the writer; read it from the writing thread).
+  const ml::LinearModel& model() const { return model_; }
+
+  /// The model's trainer; its step count positions the learning-rate
+  /// schedule and restarts at 0 with every retrain.
+  const ml::SgdTrainer& trainer() const { return trainer_; }
+
+  /// Updates and reads booked since the view was built or recovered (a
+  /// restart resets them, like the WAL, pool and pager counters).
+  const core::ViewStats& stats() const { return stats_; }
 
   // The engine-API reads: read-your-writes under the statement mutex,
-  // answered from epochs (ReadEpoch), never by the core view's read path.
+  // answered from epochs (ReadEpoch).
 
   /// Label string of one entity under the current model.
   StatusOr<std::string> LabelOf(int64_t id);
@@ -79,10 +98,9 @@ class ManagedView {
   /// Count of entities with the given label string.
   StatusOr<uint64_t> CountOf(const std::string& label);
 
-  /// Books one read answered from an epoch in the live core view's stats
-  /// (relaxed cells, safe beside the writer; the shared handle survives a
-  /// racing retrain swap): a Single Entity read, or an All Members read
-  /// with its scored and bound-settled row counts.
+  /// Books one read answered from an epoch (relaxed cells, safe beside the
+  /// writer): a Single Entity read, or an All Members read with its scored
+  /// and bound-settled row counts.
   void RecordRead() const;
   void RecordRead(const core::ScanCounts& scan) const;
 
@@ -96,16 +114,6 @@ class ManagedView {
 
   /// Maps a label string to +1/-1 (InvalidArgument otherwise).
   StatusOr<int> LabelSign(const std::string& label) const;
-
-  /// Applies queued trigger updates (accumulated while the database is in
-  /// an update batch) as one UpdateBatch. No-op when nothing is queued.
-  /// The engine-API reads above flush first, so they see the queued
-  /// examples; SQL reads never flush and answer from the last published
-  /// epoch (the committed batch prefix).
-  Status Flush();
-
-  /// Trigger updates queued and not yet applied to the core view.
-  size_t pending_updates() const { return pending_.size(); }
 
   /// Pins the latest published epoch for lock-free snapshot reads. Never
   /// empty for a view the database has adopted: AdoptView publishes the
@@ -121,50 +129,41 @@ class ManagedView {
   friend class persist::ViewCheckpointer;
 
   /// Publishes the current (model, entity set) as a new read epoch. Called
-  /// by the write side at batch boundaries — after Flush, a non-batched
-  /// trigger update, or a retrain. Inside an update batch it only records
-  /// the request (epoch_publish_pending_); the outermost EndUpdateBatch
-  /// performs the actual publish so readers never observe a partially
-  /// applied statement. No-op until Database::AdoptView has published the
-  /// first epoch: before that no reader can see the view (creation replays
-  /// one trigger per pre-existing example, and per-example full exports
-  /// there would be quadratic).
-  Status PublishEpoch();
+  /// by every change: an example or entity insert, or a retrain. Inside an
+  /// update batch it only records the request (epoch_publish_pending_); the
+  /// outermost EndUpdateBatch performs the actual publish so readers never
+  /// observe a partially applied statement. No-op until Database::AdoptView
+  /// has published the first epoch: before that no reader can see the view.
+  void PublishEpoch();
 
-  /// The publish itself, batch or not: publishes SealStore() under the
-  /// core view's current model.
-  Status PublishEpochNow();
+  /// The publish itself, batch or not.
+  void PublishEpochNow();
 
-  /// The current entity set as an immutable store: re-seeds the store
-  /// builder from the core view when a reset is pending, then seals it.
-  StatusOr<std::shared_ptr<const core::EpochEntityStore>> SealStore();
+  /// The epoch an engine-API read answers from (statement mutex held).
+  /// Outside a batch every change publishes at once, so that is the latest
+  /// published epoch. Inside one the changes wait for EndUpdateBatch, so it
+  /// is an unpublished epoch over the sealed store builder: the caller sees
+  /// its own writes and SQL readers still do not.
+  core::SnapshotPin ReadEpoch();
 
-  /// The epoch an engine-API read answers from, after Flush (statement
-  /// mutex held). Outside a batch every change publishes at once, so that
-  /// is the latest published epoch. Inside one the changes wait for
-  /// EndUpdateBatch, so it is an unpublished epoch over SealStore(): the
-  /// caller sees its own writes and SQL readers still do not.
-  StatusOr<core::SnapshotPin> ReadEpoch();
+  /// Folds one arriving training example into the model and publishes.
+  void Train(const ml::LabeledExample& example);
 
   ClassificationViewDef def_;
+  Database* db_;
   std::unique_ptr<features::FeatureFunction> feature_fn_;
-  /// Shared (not unique) so RecordRead survives the swap a
-  /// retrain-from-scratch performs; the swap itself uses std::atomic_store.
-  std::shared_ptr<core::ClassificationView> view_;
+  ml::LinearModel model_;
+  ml::SgdTrainer trainer_;
+  /// Mutable: reads book themselves through const handles.
+  mutable core::ViewStats stats_;
   std::vector<std::string> labels_;  // [0] = positive, [1] = negative
-  /// Replay log of (entity id, label sign) training examples, kept so
-  /// deletes can retrain from scratch (paper footnote 2).
+  /// Replay log of (entity id, label sign) training examples in commit
+  /// order, kept so deletes and label changes can retrain from scratch
+  /// (paper footnote 2).
   std::vector<std::pair<int64_t, int>> example_log_;
-  /// Example-insert triggers queued while the database is in a batch;
-  /// drained by Flush() as one UpdateBatch.
-  std::vector<ml::LabeledExample> pending_;
-  Database* db_ = nullptr;
   /// Epoch publication state (write side only; readers touch epochs_ alone).
   core::EpochManager epochs_;
   core::EpochStoreBuilder store_builder_;
-  /// True when the builder must be re-seeded from the core view (initial
-  /// adoption, retrain-from-scratch, checkpoint restore) before sealing.
-  bool store_reset_pending_ = true;
   /// Set when PublishEpoch is requested inside an update batch: publishing
   /// mid-batch would let snapshot readers observe a partially applied
   /// statement, so the publish defers to the outermost EndUpdateBatch.
@@ -180,8 +179,6 @@ struct DatabaseOptions {
   std::string path;
   /// Buffer-pool frames (x 8 KiB).
   size_t buffer_pool_pages = 4096;
-  /// Defaults applied to classification views.
-  core::ViewOptions view_defaults;
   /// Write-ahead-log durability policy (fsync per commit vs group commit).
   storage::WalOptions wal;
   /// Background checkpointer (persist/checkpoint_daemon.h); off by default,
@@ -204,7 +201,7 @@ class Database {
   /// rewired), and then every committed post-checkpoint operation is
   /// replayed through the trigger machinery so the views re-train on the
   /// redone rows exactly as they did live. Pages orphaned by the crash (the
-  /// pre-restart view structures, rolled-back allocations) are swept into
+  /// pre-restart view-state chains, rolled-back allocations) are swept into
   /// the free list, so the file does not grow across restart cycles. On
   /// failure the database is left closed and reusable, and a temp file it
   /// created is removed.
@@ -253,9 +250,9 @@ class Database {
   ///   - every mutating engine entry point takes it itself — Table
   ///     Insert/DeleteByKey/UpdateByKey, Catalog::CreateTable,
   ///     CreateClassificationView, Begin/EndUpdateBatch, the ManagedView
-  ///     reads (they fold queued triggers), Checkpoint's commit section and
-  ///     Compact — so direct API callers are serialized without locking
-  ///     anything themselves;
+  ///     reads (they see the open batch's writes), Checkpoint's commit
+  ///     section and Compact — so direct API callers are serialized without
+  ///     locking anything themselves;
   ///   - the checkpoint daemon only ever try_locks it (see
   ///     persist/checkpoint_daemon.h).
   /// Recursive because those entry points nest (a statement's rows fire
@@ -309,19 +306,17 @@ class Database {
   bool HasView(const std::string& name) const { return FindView(name) != nullptr; }
   std::vector<std::string> ViewNames() const;
 
-  /// Enters batched-trigger mode: example-insert triggers queue their
-  /// maintenance work instead of applying it per row, and the queue is
-  /// flushed to each view as one amortized UpdateBatch. Nestable; only the
-  /// outermost EndUpdateBatch flushes and publishes the views' next epochs.
-  /// Inside the batch, SQL reads answer from the last published epoch, so
-  /// they do not see the queued examples until the batch ends; the
-  /// ManagedView engine-API reads (LabelOf/MembersOf/CountOf) flush the
-  /// view's queue first and see them in a private, unpublished epoch. The
-  /// WAL groups the batch's mutations under one commit marker so replay
-  /// reproduces the batched fold boundaries bit-exactly.
+  /// Enters batched-trigger mode: triggers still train each view at once,
+  /// but its epochs are published only by the outermost EndUpdateBatch, so
+  /// the whole batch becomes visible to readers atomically (one epoch per
+  /// view). Nestable. Inside the batch, SQL reads answer from the last
+  /// published epoch; the ManagedView engine-API reads (LabelOf/MembersOf/
+  /// CountOf) see the batch's writes in a private, unpublished epoch. The
+  /// WAL groups the batch's mutations under one commit marker, so replay
+  /// brackets them in one batch again.
   void BeginUpdateBatch();
 
-  /// Leaves batched-trigger mode, flushing every view's queue when the
+  /// Leaves batched-trigger mode, publishing every view's epoch when the
   /// outermost batch ends. A checkpoint the background checkpointer could
   /// not take mid-batch runs here, at the batch boundary; so does one the
   /// WAL byte threshold calls for.
@@ -403,9 +398,6 @@ class Database {
   /// pointer; on error the view is dropped, never published.
   StatusOr<ManagedView*> AdoptView(std::unique_ptr<ManagedView> mv);
 
-  /// The core-view options a definition resolves to (defaults + DDL).
-  core::ViewOptions EffectiveViewOptions(const ClassificationViewDef& def) const;
-
   /// Concatenates the configured text columns of an entity row.
   StatusOr<std::string> EntityDocument(const ManagedView& mv,
                                        const storage::Row& row) const;
@@ -414,18 +406,14 @@ class Database {
   Status OnEntityInsert(ManagedView* mv, const storage::Row& row);
   Status OnExampleInsert(ManagedView* mv, const storage::Row& row);
   Status OnExampleDelete(ManagedView* mv, const storage::Row& row);
-  /// Paper footnote 2: label changes retrain the model from scratch; so do
-  /// entity tuple changes (their features change under the current model).
-  Status OnEntityUpdate(ManagedView* mv, const storage::Row& old_row,
-                        const storage::Row& new_row);
   Status OnExampleUpdate(ManagedView* mv, const storage::Row& old_row,
                          const storage::Row& new_row);
 
-  /// Paper footnote 2: deletes retrain the model from scratch.
+  /// Paper footnote 2: example deletes and label changes retrain the model
+  /// from scratch; so do entity updates and deletes (the entity set, and
+  /// with it the features, changed). Re-featurizes a scan of the entity
+  /// table into the store builder and replays the example log.
   Status RebuildFromScratch(ManagedView* mv);
-
-  StatusOr<std::unique_ptr<core::ClassificationView>> BuildCoreView(
-      const ClassificationViewDef& def) const;
 
   DatabaseOptions options_;
   std::string path_;

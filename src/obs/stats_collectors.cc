@@ -59,47 +59,21 @@ uint64_t RegisterPagerStats(const storage::Pager* pager, std::string labels) {
       });
 }
 
-uint64_t RegisterViewStats(
-    std::function<const core::ClassificationView*()> view, std::string labels) {
+uint64_t RegisterViewStats(const core::ViewStats* stats, std::string labels) {
   return Registry::Global().RegisterCollector(
-      [view = std::move(view), labels = std::move(labels)](SampleList* out) {
-        const core::ClassificationView* v = view();
-        if (v == nullptr) return;
-        const core::ViewStats& s = v->stats();
+      [stats, labels = std::move(labels)](SampleList* out) {
+        const core::ViewStats& s = *stats;
         out->Counter("hazy_view_updates_total", labels, s.updates.load());
-        out->Counter("hazy_view_batches_total", labels, s.batches.load());
-        out->Counter("hazy_view_reorgs_total", labels, s.reorgs.load());
-        out->Counter("hazy_view_incremental_steps_total", labels,
-                     s.incremental_steps.load());
-        out->Counter("hazy_view_window_tuples_total", labels,
-                     s.window_tuples.load());
+        out->Counter("hazy_view_update_seconds_total", labels,
+                     s.total_update_seconds.load());
+        out->Counter("hazy_view_single_reads_total", labels,
+                     s.single_reads.load());
+        out->Counter("hazy_view_all_members_total", labels,
+                     s.all_members_queries.load());
         out->Counter("hazy_view_tuples_scanned_total", labels,
                      s.tuples_scanned.load());
         out->Counter("hazy_view_rows_by_bounds_total", labels,
                      s.rows_by_bounds.load());
-        out->Counter("hazy_view_label_flips_total", labels,
-                     s.label_flips.load());
-        out->Counter("hazy_view_single_reads_total", labels,
-                     s.single_reads.load());
-        out->Counter("hazy_view_reads_by_bounds_total", labels,
-                     s.reads_by_bounds.load());
-        out->Counter("hazy_view_reads_by_buffer_total", labels,
-                     s.reads_by_buffer.load());
-        out->Counter("hazy_view_reads_from_store_total", labels,
-                     s.reads_from_store.load());
-        out->Counter("hazy_view_all_members_total", labels,
-                     s.all_members_queries.load());
-        out->Counter("hazy_view_update_seconds_total", labels,
-                     s.total_update_seconds.load());
-        out->Counter("hazy_view_reorg_seconds_total", labels,
-                     s.total_reorg_seconds.load());
-        out->Gauge("hazy_view_last_reorg_cost", labels,
-                   s.last_reorg_cost.load());
-        double low = 0, high = 0;
-        if (v->WaterLines(&low, &high)) {
-          out->Gauge("hazy_view_water_low", labels, low);
-          out->Gauge("hazy_view_water_high", labels, high);
-        }
       });
 }
 

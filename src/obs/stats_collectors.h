@@ -10,11 +10,10 @@
 #define HAZY_OBS_STATS_COLLECTORS_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 namespace hazy::core {
-class ClassificationView;
+struct ViewStats;
 }  // namespace hazy::core
 namespace hazy::storage {
 class BufferPool;
@@ -31,14 +30,9 @@ uint64_t RegisterWalStats(const storage::Wal* wal, std::string labels);
 uint64_t RegisterBufferPoolStats(const storage::BufferPool* pool,
                                  std::string labels);
 uint64_t RegisterPagerStats(const storage::Pager* pager, std::string labels);
-/// `view` is a provider, not a pointer: a delete/relabel retrains the model
-/// from scratch (paper footnote 2), which REPLACES the underlying view
-/// object — the provider re-resolves it at every poll (and at the final
-/// fold inside UnregisterCollector), so the collector never holds a pointer
-/// the rebuild invalidated. May return null (view being torn down): the
-/// collector emits nothing that poll.
-uint64_t RegisterViewStats(
-    std::function<const core::ClassificationView*()> view, std::string labels);
+/// Exports the counters the engine books for one view (engine::ManagedView
+/// owns `stats` and unregisters before it goes away).
+uint64_t RegisterViewStats(const core::ViewStats* stats, std::string labels);
 
 void UnregisterStats(uint64_t id);
 

@@ -39,8 +39,6 @@ const char* SpanKindName(SpanKind k) {
       return "gate.wait";
     case SpanKind::kExecute:
       return "execute";
-    case SpanKind::kTriggerDrain:
-      return "trigger.drain";
     case SpanKind::kLazyScan:
       return "view.lazy_scan";
     case SpanKind::kSnapshotScan:

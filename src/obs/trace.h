@@ -38,7 +38,6 @@ enum class SpanKind : uint8_t {
   kParse,           // SQL text -> AST
   kGateWait,        // waiting on the statement mutex (serialized statements)
   kExecute,         // statement body after parse
-  kTriggerDrain,    // draining queued view maintenance triggers
   kLazyScan,        // lazy on-demand (re)scoring scan
   kSnapshotScan,    // All Members over a pinned epoch (eps columns + window)
   kRelabelSweep,    // eager relabel sweep between water lines

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/strings.h"
-#include "core/view_factory.h"
 #include "engine/database.h"
 #include "features/feature_function.h"
 #include "persist/serde.h"
@@ -39,7 +38,11 @@ constexpr uint64_t kHeaderMagic = 0x00314244595A4148ull;
 // v3: every page reserves a trailing LSN footer for the write-ahead log
 // (storage/page.h), and the master record persists the pager free list.
 // v2 page layouts would misparse, so they are rejected likewise.
-constexpr uint32_t kFormatVersion = 3;
+// v4: a view-state blob holds the model, the trainer's step count and the
+// entities themselves instead of an architecture's SaveState payload, and
+// the view definition lost its method-specified flag. v3 blobs would
+// misparse, so v3 files are rejected likewise.
+constexpr uint32_t kFormatVersion = 4;
 constexpr size_t kMagicOff = 0;
 constexpr size_t kVersionOff = 8;
 constexpr size_t kMasterHeadOff = 12;
@@ -59,7 +62,7 @@ int64_t RowKeyFor(uint64_t epoch, int64_t view_id) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Definition / options serialization.
+// Definition serialization.
 // ---------------------------------------------------------------------------
 
 void PutViewDef(StateWriter* w, const ClassificationViewDef& def) {
@@ -75,7 +78,6 @@ void PutViewDef(StateWriter* w, const ClassificationViewDef& def) {
   w->PutString(def.example_label);
   w->PutString(def.feature_function);
   w->PutU8(static_cast<uint8_t>(def.method));
-  w->PutBool(def.method_specified);
   w->PutU8(static_cast<uint8_t>(def.architecture));
   w->PutU8(static_cast<uint8_t>(def.mode));
 }
@@ -98,7 +100,6 @@ Status GetViewDef(StateReader* r, ClassificationViewDef* def) {
   uint8_t u = 0;
   HAZY_RETURN_NOT_OK(r->GetU8(&u));
   def->method = static_cast<ml::LossKind>(u);
-  HAZY_RETURN_NOT_OK(r->GetBool(&def->method_specified));
   HAZY_RETURN_NOT_OK(r->GetU8(&u));
   def->architecture = static_cast<core::Architecture>(u);
   HAZY_RETURN_NOT_OK(r->GetU8(&u));
@@ -107,48 +108,6 @@ Status GetViewDef(StateReader* r, ClassificationViewDef* def) {
 }
 
 namespace {
-
-void PutViewOptions(StateWriter* w, const core::ViewOptions& o) {
-  w->PutU8(static_cast<uint8_t>(o.mode));
-  w->PutU8(static_cast<uint8_t>(o.sgd.loss));
-  w->PutDouble(o.sgd.lambda);
-  w->PutDouble(o.sgd.eta0);
-  w->PutI32(o.sgd.steps_per_example);
-  w->PutBool(o.sgd.train_bias);
-  w->PutDouble(o.sgd.bias_multiplier);
-  w->PutDouble(o.holder_p);
-  w->PutBool(o.monotone_water);
-  w->PutU8(static_cast<uint8_t>(o.strategy));
-  w->PutDouble(o.alpha);
-  w->PutI32(o.periodic_period);
-  w->PutU8(static_cast<uint8_t>(o.cost_model));
-  w->PutU64(o.hybrid_buffer_capacity);
-}
-
-Status GetViewOptions(StateReader* r, core::ViewOptions* o) {
-  uint8_t u = 0;
-  HAZY_RETURN_NOT_OK(r->GetU8(&u));
-  o->mode = static_cast<core::Mode>(u);
-  HAZY_RETURN_NOT_OK(r->GetU8(&u));
-  o->sgd.loss = static_cast<ml::LossKind>(u);
-  HAZY_RETURN_NOT_OK(r->GetDouble(&o->sgd.lambda));
-  HAZY_RETURN_NOT_OK(r->GetDouble(&o->sgd.eta0));
-  HAZY_RETURN_NOT_OK(r->GetI32(&o->sgd.steps_per_example));
-  HAZY_RETURN_NOT_OK(r->GetBool(&o->sgd.train_bias));
-  HAZY_RETURN_NOT_OK(r->GetDouble(&o->sgd.bias_multiplier));
-  HAZY_RETURN_NOT_OK(r->GetDouble(&o->holder_p));
-  HAZY_RETURN_NOT_OK(r->GetBool(&o->monotone_water));
-  HAZY_RETURN_NOT_OK(r->GetU8(&u));
-  o->strategy = static_cast<core::StrategyKind>(u);
-  HAZY_RETURN_NOT_OK(r->GetDouble(&o->alpha));
-  HAZY_RETURN_NOT_OK(r->GetI32(&o->periodic_period));
-  HAZY_RETURN_NOT_OK(r->GetU8(&u));
-  o->cost_model = static_cast<core::CostModel>(u);
-  uint64_t cap = 0;
-  HAZY_RETURN_NOT_OK(r->GetU64(&cap));
-  o->hybrid_buffer_capacity = cap;
-  return Status::OK();
-}
 
 Schema ViewsSchema() {
   return Schema({{"row_key", ColumnType::kInt64},
@@ -235,7 +194,10 @@ Status ViewCheckpointer::CollectGarbageRows(uint64_t keep_epoch) {
   return DeleteRowsWhere([&](uint64_t e) { return e != keep_epoch; });
 }
 
-Status ViewCheckpointer::SerializeViewState(const ManagedView& mv, std::string* blob) {
+Status ViewCheckpointer::SerializeViewState(ManagedView& mv, std::string* blob) {
+  // A checkpoint never runs inside an update batch, so the latest published
+  // epoch holds the view's current model and entity set.
+  core::SnapshotPin snap = mv.PinSnapshot();
   StateWriter w(blob);
   w.PutTag(kViewStateTag);
   PutViewDef(&w, mv.def_);
@@ -247,17 +209,26 @@ Status ViewCheckpointer::SerializeViewState(const ManagedView& mv, std::string* 
     w.PutI32(sign);
   }
   mv.feature_fn_->SaveState(&w);
-  PutViewOptions(&w, db_->EffectiveViewOptions(mv.def_));
-  return mv.view_->SaveState(&w);
+  w.PutModel(snap->model());
+  w.PutU64(mv.trainer_.steps());
+  // The entities as one flat sequence, in store order.
+  w.PutU64(snap->num_entities());
+  for (const auto& chunk : snap->store().chunks()) {
+    for (const core::Entity& e : chunk->rows) {
+      w.PutI64(e.id);
+      w.PutFeatureVector(e.features);
+    }
+  }
+  return Status::OK();
 }
 
 Status ViewCheckpointer::RestoreViewFromBlob(std::string_view blob) {
   StateReader r(blob);
   HAZY_RETURN_NOT_OK(r.ExpectTag(kViewStateTag));
 
-  auto mv = std::make_unique<ManagedView>();
-  mv->db_ = db_;
-  HAZY_RETURN_NOT_OK(GetViewDef(&r, &mv->def_));
+  ClassificationViewDef def;
+  HAZY_RETURN_NOT_OK(GetViewDef(&r, &def));
+  auto mv = std::make_unique<ManagedView>(db_, std::move(def));
 
   uint32_t num_labels = 0;
   HAZY_RETURN_NOT_OK(r.GetU32(&num_labels));
@@ -281,11 +252,22 @@ Status ViewCheckpointer::RestoreViewFromBlob(std::string_view blob) {
                         features::MakeFeatureFunction(mv->def_.feature_function));
   HAZY_RETURN_NOT_OK(mv->feature_fn_->LoadState(&r));
 
-  core::ViewOptions vopts;
-  HAZY_RETURN_NOT_OK(GetViewOptions(&r, &vopts));
-  HAZY_ASSIGN_OR_RETURN(mv->view_, core::MakeView(mv->def_.architecture, vopts,
-                                                  db_->pool_.get()));
-  HAZY_RETURN_NOT_OK(mv->view_->LoadState(&r));
+  // Zero retraining: the model and the trainer's schedule position resume
+  // exactly where the checkpoint left them.
+  HAZY_RETURN_NOT_OK(r.GetModel(&mv->model_));
+  uint64_t steps = 0;
+  HAZY_RETURN_NOT_OK(r.GetU64(&steps));
+  mv->trainer_.RestoreSteps(steps);
+
+  uint64_t num_entities = 0;
+  HAZY_RETURN_NOT_OK(r.GetU64(&num_entities));
+  HAZY_RETURN_NOT_OK(r.CheckCount(num_entities, 8));  // i64 id at least
+  std::vector<core::Entity> ents(num_entities);
+  for (core::Entity& e : ents) {
+    HAZY_RETURN_NOT_OK(r.GetI64(&e.id));
+    HAZY_RETURN_NOT_OK(r.GetFeatureVector(&e.features));
+  }
+  mv->store_builder_.ReplaceAll(std::move(ents));
 
   // Adoption publishes the restored view's first read epoch — recovered
   // databases serve snapshot reads immediately, answering exactly as the
@@ -301,7 +283,7 @@ Status ViewCheckpointer::WriteViewRows(uint64_t epoch) {
                         db_->catalog_->GetTable(kViewStateTableName));
   const auto views = db_->views();
   for (size_t i = 0; i < views->size(); ++i) {
-    const ManagedView& mv = *(*views)[i];
+    ManagedView& mv = *(*views)[i];
     const int64_t view_id = static_cast<int64_t>(i);
     const int64_t row_key = RowKeyFor(epoch, view_id);
 
@@ -437,9 +419,6 @@ StatusOr<uint64_t> ViewCheckpointer::Checkpoint() {
   if (views->size() > static_cast<size_t>(kMaxViewsPerDatabase)) {
     return Status::ResourceExhausted("too many classification views to checkpoint");
   }
-  // Queued trigger work must land in the views before their state is frozen.
-  for (const auto& mv : *views) HAZY_RETURN_NOT_OK(mv->Flush());
-
   // The checkpoint's own system-table writes must not append logical WAL
   // records (the checkpoint IS the durability point they would replay
   // against). Before-image logging stays on: a crashed checkpoint's page
@@ -448,12 +427,15 @@ StatusOr<uint64_t> ViewCheckpointer::Checkpoint() {
 
   HAZY_RETURN_NOT_OK(EnsureSystemTables());
 
-  const uint64_t epoch = db_->checkpoint_epoch_ + 1;
-  // A crashed attempt at this same epoch number may have left orphan rows
-  // whose keys would collide with this attempt's inserts. They are not
-  // referenced by the durable image (the header never flipped to them), so
-  // purging them — and only them — is safe before the commit.
-  HAZY_RETURN_NOT_OK(DeleteRowsWhere([&](uint64_t e) { return e >= epoch; }));
+  const uint64_t durable = db_->checkpoint_epoch_;
+  const uint64_t epoch = durable + 1;
+  // Rows of any epoch but the durable one are garbage its image does not
+  // reference: orphans of a crashed attempt at this same epoch number (their
+  // keys would collide with this attempt's inserts), and superseded rows
+  // whose collection after the previous commit a restart rolled back.
+  // Purging them — and only them — is safe before the commit: the pages
+  // they free stay quarantined until it.
+  HAZY_RETURN_NOT_OK(DeleteRowsWhere([&](uint64_t e) { return e != durable; }));
   HAZY_RETURN_NOT_OK(WriteViewRows(epoch));
 
   // Read the old chain head before anything overwrites the header.
@@ -492,7 +474,7 @@ StatusOr<uint64_t> ViewCheckpointer::Checkpoint() {
   // a log whose base epoch trails the header — recovery rolls the file back
   // to the log's base and replays, landing on the same logical state.
   if (db_->wal_ != nullptr) HAZY_RETURN_NOT_OK(db_->wal_->Reset(epoch));
-  // Pages freed (by any table or view) since the previous commit were
+  // Pages freed (by any table) since the previous commit were
   // quarantined because the superseded image might still reference them;
   // that image is gone, so they can be recycled. From the first commit on,
   // future frees quarantine likewise.
@@ -726,8 +708,8 @@ Status ViewCheckpointer::Recover() {
 
   // Phase 2: reclaim everything the image does not own — the pre-restart
   // view-state chains and any rolled-back post-checkpoint allocations —
-  // *before* the views rebuild into (and the redo replays into) fresh pages,
-  // so a checkpoint+restart cycle reuses pages instead of growing the file.
+  // *before* the redo replays into fresh pages, so a checkpoint+restart
+  // cycle reuses pages instead of growing the file.
   HAZY_RETURN_NOT_OK(SweepFreePages(chain_pages, persisted_free));
 
   // Phase 3: rebuild the views from the checkpoint (zero retraining).

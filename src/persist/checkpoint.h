@@ -1,7 +1,7 @@
 // Durable view catalog + checkpoint/recovery (the persist subsystem's top
 // layer). This is the mechanism that makes the paper's pitch literal: the
-// classification views' state — models, scan orders, water marks, replay
-// logs — *lives in the RDBMS*, in relations, and survives the process.
+// classification views' state — models, entity sets, feature statistics,
+// replay logs — *lives in the RDBMS*, in relations, and survives the process.
 //
 // Layout inside the database file:
 //
@@ -22,9 +22,11 @@
 //                           of Hazy's view catalog relation.
 //   __hazy_view_state       system table: one (possibly overflow-spilled) row
 //                           per view per epoch holding the full state blob:
-//                           view definition, label vocabulary, feature-
-//                           function statistics, example replay log, and the
-//                           architecture's SaveState payload.
+//                           view definition, label vocabulary, example
+//                           replay log, feature-function statistics, the
+//                           model, the trainer's step count, and the
+//                           entities (id + features) as one flat sequence in
+//                           epoch-store order.
 //
 // State rows are keyed by epoch, so a checkpoint never overwrites the rows
 // the previous checkpoint committed. Rows of superseded epochs are
@@ -90,10 +92,9 @@ class ViewCheckpointer {
   /// Formats the header page of a freshly created database file.
   Status InitFresh();
 
-  /// Writes a checkpoint: flushes every view's pending trigger queue,
-  /// snapshots all view state into the system tables, persists the table
-  /// catalog, and atomically swaps the header to the new epoch. Returns the
-  /// new epoch.
+  /// Writes a checkpoint: snapshots all view state into the system tables,
+  /// persists the table catalog, and atomically swaps the header to the new
+  /// epoch. Returns the new epoch.
   StatusOr<uint64_t> Checkpoint();
 
   /// Recovers an existing database file to an exact point. In order: the
@@ -109,9 +110,11 @@ class ViewCheckpointer {
   Status Recover();
 
   /// Serializes one view's full durable state (definition, vocabulary,
-  /// replay log, feature statistics, architecture payload) — the row format
-  /// of __hazy_view_state, also used by Database::Compact.
-  Status SerializeViewState(const engine::ManagedView& mv, std::string* blob);
+  /// replay log, feature statistics, model, trainer step count, and the
+  /// entities of its latest published epoch) — the row format of
+  /// __hazy_view_state, also used by Database::Compact. Never called inside
+  /// an update batch, so that epoch is the view's current state.
+  Status SerializeViewState(engine::ManagedView& mv, std::string* blob);
 
   /// Inverse of SerializeViewState: rebuilds a managed view, registers it
   /// with the database, and arms its triggers.

@@ -393,9 +393,9 @@ StatusOr<ResultSet> Executor::ExecCreateView(const CreateViewStmt& stmt) {
 StatusOr<ResultSet> Executor::ExecInsert(const InsertStmt& stmt) {
   HAZY_RETURN_NOT_OK(RejectReservedWrite(stmt.table));
   HAZY_ASSIGN_OR_RETURN(storage::Table * table, db_->catalog()->GetTable(stmt.table));
-  // Multi-row INSERTs run in batched-trigger mode: every classification
-  // view monitoring this table folds the statement's examples as one
-  // UpdateBatch instead of maintaining itself once per row.
+  // Multi-row INSERTs run in one update batch: every classification view
+  // monitoring this table publishes one epoch for the whole statement
+  // instead of one per row.
   const bool batch = stmt.rows.size() > 1;
   if (batch) db_->BeginUpdateBatch();
   Status insert_status;
@@ -512,7 +512,7 @@ StatusOr<ResultSet> Executor::ExecSelectView(const SelectStmt& stmt,
   using LabeledRow = std::pair<int64_t, const std::string&>;
 
   // The answers come from the pinned epoch, but the work is still this
-  // view's read traffic: RecordRead books it in the live view's stats.
+  // view's read traffic: RecordRead books it in the view's stats.
   if (by_key) {
     const int64_t id = std::get<int64_t>(where->value);
     view->RecordRead();

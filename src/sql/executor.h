@@ -82,8 +82,7 @@ class Executor {
   StatusOr<ResultSet> ExecSelectTable(const SelectStmt& stmt);
   /// Answers every SELECT over a view from its pinned epoch: Single Entity,
   /// All Members, COUNT(*) or a full scan, then LIMIT and the projection.
-  /// Takes no lock and folds no queued trigger work, so it never waits on
-  /// ingest (MVCC semantics). The caller holds the view's FindView handle
+  /// Takes no lock, so it never waits on ingest (MVCC semantics). The caller holds the view's FindView handle
   /// for the whole call: the pin taken here points into the view.
   StatusOr<ResultSet> ExecSelectView(const SelectStmt& stmt, engine::ManagedView* view);
   StatusOr<ResultSet> ExecDelete(const DeleteStmt& stmt);

@@ -245,7 +245,6 @@ StatusOr<Statement> ParseCreateView(Cursor* c) {
   if (c->AcceptKeyword("USING")) {
     HAZY_ASSIGN_OR_RETURN(std::string method, c->ExpectIdentifier("method"));
     HAZY_ASSIGN_OR_RETURN(def.method, ml::LossKindFromString(method));
-    def.method_specified = true;
   }
   if (c->AcceptKeyword("ARCHITECTURE")) {
     HAZY_ASSIGN_OR_RETURN(std::string arch, c->ExpectIdentifier("architecture"));

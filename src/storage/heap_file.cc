@@ -86,6 +86,8 @@ StatusOr<Rid> HeapFile::Append(std::string_view rec) {
     HAZY_ASSIGN_OR_RETURN(PageHandle h, pool_->Fetch(last_page_));
     SlottedPage page(h.data());
     int slot = page.Insert(stored);
+    // Reclaim the tail's deleted cells before extending the chain.
+    if (slot < 0 && page.Compact()) slot = page.Insert(stored);
     if (slot >= 0) {
       h.MarkDirty();
       ++num_records_;

@@ -7,9 +7,9 @@
 //   ...cell data... <- grows down from the end of the page
 //
 // A record is addressed by a RID = (page_id, slot). Deleting a record clears
-// its slot but does not compact the page: the Hazy workloads are
-// append-mostly with in-place same-size updates, and whole structures are
-// rebuilt at reorganization time, so fragmentation is reclaimed wholesale.
+// its slot but leaves its cell bytes in place; Compact slides the live cells
+// together when an insert needs the room (slot numbers, and so RIDs, stay
+// put). Slots are never reused.
 //
 // The trailing 8 bytes of every page — slotted or raw — are reserved for the
 // page LSN: the WAL position that must be durable before this page image may
@@ -19,9 +19,12 @@
 #ifndef HAZY_STORAGE_PAGE_H_
 #define HAZY_STORAGE_PAGE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "storage/coding.h"
@@ -134,7 +137,7 @@ class SlottedPage {
     return data_ + off;
   }
 
-  /// Marks a slot deleted. The cell bytes are not reclaimed.
+  /// Marks a slot deleted. The cell bytes are reclaimed by Compact.
   bool Delete(uint16_t slot) {
     if (slot >= slot_count()) return false;
     char* s = SlotPtr(slot);
@@ -142,6 +145,29 @@ class SlottedPage {
     EncodeFixed16(s, 0);
     EncodeFixed16(s + 2, 0);
     return true;
+  }
+
+  /// Slides the live cells together at the end of the page, reclaiming the
+  /// cell bytes of deleted records. Slot numbers do not change. Returns true
+  /// when it freed any space.
+  bool Compact() {
+    std::vector<std::pair<uint16_t, uint16_t>> cells;  // (offset, slot), live only
+    for (uint16_t i = 0; i < slot_count(); ++i) {
+      const uint16_t off = DecodeFixed16(SlotPtr(i));
+      if (off != 0) cells.emplace_back(off, i);
+    }
+    // Highest cell first: each moves up, never over a cell not yet moved.
+    std::sort(cells.rbegin(), cells.rend());
+    uint16_t end = static_cast<uint16_t>(kPageUsableSize);
+    for (const auto& [off, slot] : cells) {
+      const uint16_t size = DecodeFixed16(SlotPtr(slot) + 2);
+      end = static_cast<uint16_t>(end - size);
+      std::memmove(data_ + end, data_ + off, size);
+      EncodeFixed16(SlotPtr(slot), end);
+    }
+    const bool freed = end != DecodeFixed16(data_ + kFreeEndOff);
+    EncodeFixed16(data_ + kFreeEndOff, end);
+    return freed;
   }
 
   const char* data() const { return data_; }

@@ -17,8 +17,7 @@
 //                   them).
 //
 //   logical records Row/DDL mutations (insert, delete, update, create table,
-//                   create classification view, view-queue flush points),
-//                   grouped by commit markers. After the rollback, recovery
+//                   create classification view), grouped by commit markers. After the rollback, recovery
 //                   replays committed groups through the normal trigger
 //                   machinery, so the views re-train on the redone rows
 //                   exactly as they did live — base tables AND views land on
@@ -68,7 +67,7 @@ namespace hazy::storage {
 enum class WalRecordType : uint8_t {
   kBeforeImage = 1,  ///< payload: u32 page_id + kPageSize page bytes
   kLogical = 2,      ///< payload: opaque logical op (WalOp-tagged, see below)
-  kCommit = 3,       ///< payload: u8 batched (1 = replay group as UpdateBatch)
+  kCommit = 3,       ///< payload: u8 batched (1 = replay group as one update batch)
   kAbort = 4,        ///< discards the open group (a crash's uncommitted tail)
 };
 
@@ -81,7 +80,6 @@ enum class WalOp : uint8_t {
   kRowUpdate = 3,    ///< table name, u64 primary key, encoded new row
   kCreateTable = 4,  ///< table name, schema columns, primary key
   kCreateView = 5,   ///< serialized ClassificationViewDef
-  kViewFlush = 6,    ///< view name: mid-batch trigger-queue fold point
 };
 
 /// Durability policy for commit markers.
@@ -195,8 +193,8 @@ class Wal {
   Status AppendLogical(std::string_view payload) EXCLUDES(mu_);
 
   /// Commit marker + fsync per policy. `batched` records whether the group
-  /// must be replayed inside BeginUpdateBatch/EndUpdateBatch to reproduce
-  /// the live fold boundaries bit-exactly.
+  /// must be replayed inside BeginUpdateBatch/EndUpdateBatch, so that its
+  /// views publish one epoch for the group as they did live.
   Status Commit(bool batched) EXCLUDES(mu_);
 
   /// Commits the current single-op group unless a batch group is open (or

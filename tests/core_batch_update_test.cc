@@ -224,7 +224,8 @@ TEST(BatchAmortizationTest, NaiveMMDoesOneRelabelPerBatch) {
 }  // namespace hazy::core
 
 // ---------------------------------------------------------------------------
-// Engine-level trigger-queue batching.
+// Engine-level update batches (one published epoch per batch and mid-batch
+// read-your-writes are checked in engine_snapshot_test.cc).
 // ---------------------------------------------------------------------------
 
 namespace hazy::engine {
@@ -290,34 +291,6 @@ class EngineBatchTest : public ::testing::Test {
   storage::Table* examples_ = nullptr;
   ManagedView* view_ = nullptr;
 };
-
-TEST_F(EngineBatchTest, BatchQueuesTriggersAndFlushesAsOneBatch) {
-  db_->BeginUpdateBatch();
-  ASSERT_TRUE(examples_->Insert(Row{int64_t{0}, std::string("DB")}).ok());
-  ASSERT_TRUE(examples_->Insert(Row{int64_t{4}, std::string("OTHER")}).ok());
-  ASSERT_TRUE(examples_->Insert(Row{int64_t{1}, std::string("DB")}).ok());
-  // Maintenance deferred: triggers queued, view untouched.
-  EXPECT_EQ(view_->pending_updates(), 3u);
-  EXPECT_EQ(view_->view()->stats().updates, 0u);
-  ASSERT_TRUE(db_->EndUpdateBatch().ok());
-  EXPECT_EQ(view_->pending_updates(), 0u);
-  EXPECT_EQ(view_->view()->stats().updates, 3u);
-  EXPECT_EQ(view_->view()->stats().batches, 1u);
-  EXPECT_FALSE(db_->in_update_batch());
-}
-
-TEST_F(EngineBatchTest, ReadsFlushPendingUpdates) {
-  db_->BeginUpdateBatch();
-  ASSERT_TRUE(examples_->Insert(Row{int64_t{0}, std::string("DB")}).ok());
-  ASSERT_TRUE(examples_->Insert(Row{int64_t{4}, std::string("OTHER")}).ok());
-  EXPECT_EQ(view_->pending_updates(), 2u);
-  // A read inside the batch sees every queued update (read-your-writes).
-  auto count = view_->CountOf("DB");
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(view_->pending_updates(), 0u);
-  EXPECT_EQ(view_->view()->stats().updates, 2u);
-  ASSERT_TRUE(db_->EndUpdateBatch().ok());
-}
 
 TEST_F(EngineBatchTest, BatchedAndUnbatchedAgree) {
   // Feed the same stream batched here and unbatched into a twin database.

@@ -1,6 +1,7 @@
 // Snapshot-read semantics through the engine, for every architecture in
 // both maintenance modes: at a batch boundary a snapshot SQL read answers
-// bit-identically to the live core view; mid-batch readers stay on the
+// exactly what the naive oracle (naive_oracle.h) computes from scratch for
+// the same tables and examples; mid-batch readers stay on the
 // pre-batch epoch (MVCC-lite — reads never see a half-applied batch);
 // pinned epochs reclaim only after the last reader unpins; a checkpoint
 // racing concurrent snapshot readers recovers to bit-identical view state;
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "engine/database.h"
+#include "naive_oracle.h"
 #include "persist/checkpoint.h"
 #include "sql/executor.h"
 #include "storage/table.h"
@@ -88,18 +90,26 @@ class EngineSnapshotTest : public ::testing::TestWithParam<ArchMode> {
     return def;
   }
 
+  /// Creates the view, and the oracle over the same corpus beside it.
   ManagedView* MustCreateView() {
     auto view = db_->CreateClassificationView(Def());
     EXPECT_TRUE(view.ok()) << view.status().ToString();
+    oracle_ = std::make_unique<NaiveOracle>(Def().feature_function, Def().method);
+    for (int64_t id = 0; id < kTestCorpusSize; ++id) {
+      oracle_->LoadPaper(id, kTestCorpusTitles[id]);
+    }
+    oracle_->CreateView();
     return view.ok() ? *view : nullptr;
   }
 
+  /// Inserts an example into the table and the oracle.
+  void AddExample(int64_t id, const std::string& label) {
+    ASSERT_TRUE(examples_->Insert(storage::Row{id, label}).ok());
+    oracle_->InsertExample(id, label == "DB" ? 1 : -1);
+  }
+
   void TrainAll() {
-    for (int64_t id = 0; id < 10; ++id) {
-      const char* label = id < 5 ? "DB" : "OTHER";
-      ASSERT_TRUE(examples_->Insert(
-                      storage::Row{id, std::string(label)}).ok());
-    }
+    for (int64_t id = 0; id < 10; ++id) AddExample(id, id < 5 ? "DB" : "OTHER");
   }
 
   sql::ResultSet MustExec(const std::string& sql) {
@@ -114,32 +124,25 @@ class EngineSnapshotTest : public ::testing::TestWithParam<ArchMode> {
     return payload;
   }
 
-  // The oracle: the live core view's own read path. The engine-API reads
-  // answer from the same epochs as SQL, so they cannot be the oracle.
-  std::string LiveLabel(ManagedView* view, int64_t id) {
-    auto sign = view->view()->SingleEntityRead(id);
-    EXPECT_TRUE(sign.ok()) << sign.status().ToString();
-    return sign.ok() ? view->LabelString(*sign) : std::string();
+  // The oracle's answers. The engine-API reads answer from the same epochs
+  // as SQL, so they cannot be the oracle.
+  std::string OracleLabel(ManagedView* view, int64_t id) {
+    auto labels = oracle_->Labels();
+    EXPECT_TRUE(labels.count(id)) << "paper " << id;
+    return view->LabelString(labels[id]);
   }
-  std::set<int64_t> LiveMembers(ManagedView* view, const std::string& label) {
-    auto ids = view->view()->AllMembers(view->LabelSign(label).ValueOrDie());
-    EXPECT_TRUE(ids.ok()) << ids.status().ToString();
-    return ids.ok() ? std::set<int64_t>(ids->begin(), ids->end())
-                    : std::set<int64_t>();
-  }
-  uint64_t LiveCount(ManagedView* view, const std::string& label) {
-    auto n = view->view()->AllMembersCount(view->LabelSign(label).ValueOrDie());
-    EXPECT_TRUE(n.ok()) << n.status().ToString();
-    return n.ok() ? *n : ~uint64_t{0};
+  std::set<int64_t> OracleMembers(ManagedView* view, const std::string& label) {
+    return oracle_->Members(view->LabelSign(label).ValueOrDie());
   }
 
   std::unique_ptr<Database> db_;
   storage::Table* examples_ = nullptr;
   std::unique_ptr<sql::Executor> exec_;
+  std::unique_ptr<NaiveOracle> oracle_;
 };
 
 // At a batch boundary every snapshot SQL read shape (single-entity, members,
-// count) answers bit-identically to the live core view — the core
+// count) answers exactly what the naive oracle computes from scratch — the
 // invariant that makes reading without the statement mutex sound.
 TEST_P(EngineSnapshotTest, SnapshotAnswersMatchLiveViewAtBatchBoundary) {
   ManagedView* view = MustCreateView();
@@ -153,7 +156,7 @@ TEST_P(EngineSnapshotTest, SnapshotAnswersMatchLiveViewAtBatchBoundary) {
     ASSERT_EQ(rs.rows.size(), 1u);
     auto sql_label = rs.TextAt(0, 0);
     ASSERT_TRUE(sql_label.ok());
-    EXPECT_EQ(*sql_label, LiveLabel(view, id)) << "paper " << id;
+    EXPECT_EQ(*sql_label, OracleLabel(view, id)) << "paper " << id;
   }
 
   for (const char* label : {"DB", "OTHER"}) {
@@ -165,7 +168,7 @@ TEST_P(EngineSnapshotTest, SnapshotAnswersMatchLiveViewAtBatchBoundary) {
       ASSERT_TRUE(id.ok());
       sql_ids.insert(*id);
     }
-    EXPECT_EQ(sql_ids, LiveMembers(view, label)) << label;
+    EXPECT_EQ(sql_ids, OracleMembers(view, label)) << label;
 
     auto count = MustExec(
         std::string("SELECT COUNT(*) FROM Labeled_Papers WHERE class = '") +
@@ -173,12 +176,13 @@ TEST_P(EngineSnapshotTest, SnapshotAnswersMatchLiveViewAtBatchBoundary) {
     ASSERT_EQ(count.rows.size(), 1u);
     auto sql_count = count.Int64At(0, 0);
     ASSERT_TRUE(sql_count.ok());
-    EXPECT_EQ(static_cast<uint64_t>(*sql_count), LiveCount(view, label)) << label;
+    EXPECT_EQ(static_cast<uint64_t>(*sql_count), OracleMembers(view, label).size())
+        << label;
   }
 }
 
-// Members and counts of a snapshot SQL read, compared with the live core
-// view after each of a run of interleaved batches. The batches add
+// Members and counts of a snapshot SQL read, compared with the naive
+// oracle after each of a run of interleaved batches. The batches add
 // entities (new store chunks, tail merges) and examples (model drift), so the
 // reads label rows from eps columns built under earlier epochs' models,
 // rebuild them, and build columns for fresh chunks.
@@ -187,7 +191,7 @@ TEST_P(EngineSnapshotTest, SnapshotMatchesLiveViewAcrossInterleavedBatches) {
   ASSERT_NE(view, nullptr);
   auto papers = db_->catalog()->GetTable("Papers");
   ASSERT_TRUE(papers.ok());
-  ASSERT_TRUE(examples_->Insert(storage::Row{int64_t{0}, std::string("DB")}).ok());
+  AddExample(0, "DB");
   ASSERT_TRUE(view->PinSnapshot());
 
   auto ids_of = [&](const sql::ResultSet& rs) {
@@ -208,11 +212,11 @@ TEST_P(EngineSnapshotTest, SnapshotMatchesLiveViewAcrossInterleavedBatches) {
             std::string(" FROM Labeled_Papers WHERE class = '") + label + "'";
         const std::set<int64_t> sql_ids = ids_of(MustExec("SELECT id" + where));
         auto count = MustExec("SELECT COUNT(*)" + where);
-        EXPECT_EQ(sql_ids, LiveMembers(view, label)) << label << " round " << round;
+        EXPECT_EQ(sql_ids, OracleMembers(view, label)) << label << " round " << round;
         ASSERT_EQ(count.rows.size(), 1u);
         auto n = count.Int64At(0, 0);
         ASSERT_TRUE(n.ok());
-        EXPECT_EQ(static_cast<uint64_t>(*n), LiveCount(view, label))
+        EXPECT_EQ(static_cast<uint64_t>(*n), OracleMembers(view, label).size())
             << label << " round " << round;
         if (pass == 0) all_ids.insert(sql_ids.begin(), sql_ids.end());
       }
@@ -224,7 +228,7 @@ TEST_P(EngineSnapshotTest, SnapshotMatchesLiveViewAcrossInterleavedBatches) {
       auto id = full.Int64At(i, 0);
       auto label = full.TextAt(i, 1);
       ASSERT_TRUE(id.ok() && label.ok());
-      EXPECT_EQ(*label, LiveLabel(view, *id)) << "paper " << *id << " round " << round;
+      EXPECT_EQ(*label, OracleLabel(view, *id)) << "paper " << *id << " round " << round;
     }
   };
 
@@ -234,37 +238,24 @@ TEST_P(EngineSnapshotTest, SnapshotMatchesLiveViewAcrossInterleavedBatches) {
     db_->BeginUpdateBatch();
     for (int k = 0; k < 3; ++k, ++next_paper) {
       const bool db_paper = (next_paper + round) % 2 == 0;
-      ASSERT_TRUE((*papers)
-                      ->Insert(storage::Row{
-                          next_paper,
-                          std::string(db_paper
-                                          ? "sql query transactions database"
-                                          : "protein membranes molecular biology")})
-                      .ok());
-      if (k == 0) {
-        ASSERT_TRUE(examples_
-                        ->Insert(storage::Row{
-                            next_paper, std::string(db_paper ? "DB" : "OTHER")})
-                        .ok());
-      }
+      const std::string title = db_paper ? "sql query transactions database"
+                                         : "protein membranes molecular biology";
+      ASSERT_TRUE((*papers)->Insert(storage::Row{next_paper, title}).ok());
+      oracle_->InsertPaper(next_paper, title);
+      if (k == 0) AddExample(next_paper, db_paper ? "DB" : "OTHER");
     }
-    if (round < kTestCorpusSize) {
-      ASSERT_TRUE(examples_
-                      ->Insert(storage::Row{int64_t{round},
-                                            std::string(TestCorpusLabel(round))})
-                      .ok());
-    }
+    if (round < kTestCorpusSize) AddExample(round, TestCorpusLabel(round));
     ASSERT_TRUE(db_->EndUpdateBatch().ok());
     check_boundary(round);
   }
 }
 
 // MVCC semantics: while an update batch is open, SQL readers keep answering
-// from the last published epoch — the batch's queued model updates are
-// invisible until EndUpdateBatch publishes, and the whole batch becomes
-// visible atomically. The engine-API reads are different: they flush the
-// view's queue first and answer from a private, unpublished epoch over the
-// batch so far, so they see the queued examples mid-batch.
+// from the last published epoch — the batch's model updates are invisible
+// until EndUpdateBatch publishes, and the whole batch becomes visible
+// atomically. The engine-API reads are different: they answer from a
+// private, unpublished epoch over the batch so far, so they see its
+// examples mid-batch.
 TEST_P(EngineSnapshotTest, MidBatchReaderSeesPreBatchEpoch) {
   ManagedView* view = MustCreateView();
   ASSERT_NE(view, nullptr);
@@ -283,6 +274,7 @@ TEST_P(EngineSnapshotTest, MidBatchReaderSeesPreBatchEpoch) {
   };
   const uint64_t count_before = count_db();
 
+  const uint64_t steps_before = view->trainer().steps();
   db_->BeginUpdateBatch();
   for (int64_t id = 1; id < 5; ++id) {
     ASSERT_TRUE(examples_->Insert(storage::Row{id, std::string("DB")}).ok());
@@ -290,15 +282,14 @@ TEST_P(EngineSnapshotTest, MidBatchReaderSeesPreBatchEpoch) {
   for (int64_t id = 5; id < 10; ++id) {
     ASSERT_TRUE(examples_->Insert(storage::Row{id, std::string("OTHER")}).ok());
   }
-  EXPECT_GT(view->pending_updates(), 0u) << "batch did not queue the triggers";
+  EXPECT_EQ(view->trainer().steps(), steps_before + 9) << "the triggers must train at once";
   // A reader inside the batch: same epoch, byte-identical answers.
   EXPECT_EQ(view->epochs().latest_epoch(), epoch_before);
   EXPECT_EQ(Encoded(MustExec("SELECT * FROM Labeled_Papers")), rows_before);
-  // The engine API folds the queue into the live view and answers from a
-  // private epoch over it; SQL still answers from the pre-batch epoch.
+  // The engine API answers from a private epoch over the batch so far; SQL
+  // still answers from the pre-batch epoch.
   auto api_count = view->CountOf("DB");
   ASSERT_TRUE(api_count.ok()) << api_count.status().ToString();
-  EXPECT_EQ(view->pending_updates(), 0u) << "CountOf did not flush the queue";
   EXPECT_EQ(*api_count, 5u);
   EXPECT_NE(*api_count, count_before) << "the batch must move the count";
   EXPECT_EQ(view->epochs().latest_epoch(), epoch_before);

@@ -11,7 +11,9 @@
 #include <vector>
 
 #include "engine/database.h"
+#include "sql/executor.h"
 #include "storage/pager.h"
+#include "storage/wal.h"
 #include "test_corpus.h"
 
 namespace hazy::engine {
@@ -60,8 +62,8 @@ class EngineTest : public ::testing::Test {
 TEST_F(EngineTest, CreateViewPopulatesAllEntities) {
   auto view = db_->CreateClassificationView(Def());
   ASSERT_TRUE(view.ok()) << view.status().ToString();
-  auto pos = (*view)->view()->AllMembersCount(1);
-  auto neg = (*view)->view()->AllMembersCount(-1);
+  auto pos = (*view)->CountOf("DB");
+  auto neg = (*view)->CountOf("OTHER");
   ASSERT_TRUE(pos.ok() && neg.ok());
   EXPECT_EQ(*pos + *neg, 10u);
   EXPECT_EQ((*view)->labels().size(), 2u);
@@ -71,11 +73,14 @@ TEST_F(EngineTest, CreateViewPopulatesAllEntities) {
 TEST_F(EngineTest, ExampleInsertTriggersModelUpdate) {
   auto view = db_->CreateClassificationView(Def());
   ASSERT_TRUE(view.ok());
-  EXPECT_EQ((*view)->view()->stats().updates, 0u);
+  EXPECT_EQ((*view)->stats().updates, 0u);
+  EXPECT_EQ((*view)->trainer().steps(), 0u);
   // Feed labeled examples through the examples table (the SQL-update path).
   ASSERT_TRUE(examples_->Insert(Row{int64_t{0}, std::string("DB")}).ok());
   ASSERT_TRUE(examples_->Insert(Row{int64_t{5}, std::string("OTHER")}).ok());
-  EXPECT_EQ((*view)->view()->stats().updates, 2u);
+  EXPECT_EQ((*view)->stats().updates, 2u);
+  EXPECT_EQ((*view)->trainer().steps(), 2u);
+  EXPECT_FALSE((*view)->model().w.empty());
 }
 
 TEST_F(EngineTest, ConcurrentDirectInsertsAreSerialized) {
@@ -104,7 +109,7 @@ TEST_F(EngineTest, ConcurrentDirectInsertsAreSerialized) {
   }
   for (auto& w : writers) w.join();
   EXPECT_EQ(examples_->num_rows(), static_cast<uint64_t>(2 * kPerThread));
-  EXPECT_EQ((*view)->view()->stats().updates, static_cast<uint64_t>(2 * kPerThread));
+  EXPECT_EQ((*view)->stats().updates, static_cast<uint64_t>(2 * kPerThread));
   auto db_count = (*view)->CountOf("DB");
   auto other_count = (*view)->CountOf("OTHER");
   ASSERT_TRUE(db_count.ok() && other_count.ok());
@@ -166,13 +171,14 @@ TEST_F(EngineTest, DeleteExampleRetrainsFromScratch) {
     ASSERT_TRUE(examples_->Insert(Row{id, std::string(id < 5 ? "DB" : "OTHER")}).ok());
   }
   // Mislabel one paper, then withdraw the example (crowdsourced fix).
-  core::ClassificationView* before = (*view)->view();
+  ASSERT_EQ((*view)->trainer().steps(), 10u);
   ASSERT_TRUE(examples_->DeleteByKey(3).ok());
-  // Footnote 2: the view was rebuilt (a fresh core view instance).
-  EXPECT_NE((*view)->view(), before);
+  // Footnote 2: a fresh trainer replayed the 9 remaining examples (an
+  // incremental patch would have stepped on from 10).
+  EXPECT_EQ((*view)->trainer().steps(), 9u);
   // Still answers queries over all 10 entities.
-  auto pos = (*view)->view()->AllMembersCount(1);
-  auto neg = (*view)->view()->AllMembersCount(-1);
+  auto pos = (*view)->CountOf("DB");
+  auto neg = (*view)->CountOf("OTHER");
   ASSERT_TRUE(pos.ok() && neg.ok());
   EXPECT_EQ(*pos + *neg, 10u);
 }
@@ -280,9 +286,12 @@ TEST_F(EngineTest, ExampleUpdateMatchesFreshRetrain) {
       stream.emplace_back(id, id < 5 ? "DB" : "OTHER");
       ASSERT_TRUE((*examples)->Insert(Row{id, stream.back().second}).ok());
     }
-    core::ClassificationView* before = (*view)->view();
+    uint64_t epoch_before = (*view)->epochs().latest_epoch();
     ASSERT_TRUE((*examples)->UpdateByKey(7, Row{int64_t{7}, std::string("DB")}).ok());
-    EXPECT_NE((*view)->view(), before);  // rebuilt, not patched
+    // Rebuilt, not patched: a fresh trainer replayed the 10 logged examples
+    // (a patch would have taken an 11th step), and the result published.
+    EXPECT_EQ((*view)->trainer().steps(), 10u);
+    EXPECT_EQ((*view)->epochs().latest_epoch(), epoch_before + 1);
 
     stream[7].second = "DB";
     std::vector<std::string> expected = ReferenceLabels(mode, stream, Def());
@@ -292,9 +301,9 @@ TEST_F(EngineTest, ExampleUpdateMatchesFreshRetrain) {
       EXPECT_EQ(*l, expected[static_cast<size_t>(id)]) << "paper " << id;
     }
     // An update that leaves the label unchanged must NOT rebuild.
-    before = (*view)->view();
+    epoch_before = (*view)->epochs().latest_epoch();
     ASSERT_TRUE((*examples)->UpdateByKey(7, Row{int64_t{7}, std::string("DB")}).ok());
-    EXPECT_EQ((*view)->view(), before);
+    EXPECT_EQ((*view)->epochs().latest_epoch(), epoch_before);
   }
 }
 
@@ -316,13 +325,15 @@ TEST_F(EngineTest, EntityUpdateRebuildsAndReclassifies) {
     for (int64_t id = 0; id < 10; ++id) {
       ASSERT_TRUE((*examples)->Insert(Row{id, std::string(id < 5 ? "DB" : "OTHER")}).ok());
     }
-    core::ClassificationView* before = (*view)->view();
+    const uint64_t epoch_before = (*view)->epochs().latest_epoch();
     ASSERT_TRUE(
         (*papers)
             ->UpdateByKey(4, Row{int64_t{4},
                                  std::string("database engine query planner transactions")})
             .ok());
-    EXPECT_NE((*view)->view(), before);
+    // Rebuilt: a fresh trainer replayed the 10 logged examples, published.
+    EXPECT_EQ((*view)->trainer().steps(), 10u);
+    EXPECT_EQ((*view)->epochs().latest_epoch(), epoch_before + 1);
     auto label = (*view)->LabelOf(4);
     ASSERT_TRUE(label.ok());
     EXPECT_EQ(*label, "DB");
@@ -331,6 +342,79 @@ TEST_F(EngineTest, EntityUpdateRebuildsAndReclassifies) {
     auto neg = (*view)->CountOf("OTHER");
     ASSERT_TRUE(pos.ok() && neg.ok());
     EXPECT_EQ(*pos + *neg, 10u);
+  }
+}
+
+// An entity DELETE takes the entity out of the view: the delete trigger
+// retrains (paper footnote 2), the point read returns no row, and the two
+// classes together count the table's rows. Both hold live, after CHECKPOINT
+// and a reopen, and after a crash right after the DELETE (WAL replay).
+TEST(EntityDeleteTest, DeletedEntityLeavesTheView) {
+  for (const char* arch : {"NAIVE_MM", "HAZY_MM", "NAIVE_OD", "HAZY_OD", "HYBRID"}) {
+    for (const char* mode : {"EAGER", "LAZY"}) {
+      for (bool checkpoint_after_delete : {true, false}) {
+        SCOPED_TRACE(std::string(arch) + " " + mode +
+                     (checkpoint_after_delete ? " checkpoint" : " crash"));
+        DatabaseOptions opts;
+        opts.path = storage::TempFilePath("entity_delete");
+        auto count = [](sql::Executor* exec, const std::string& sql) {
+          auto rs = exec->Execute(sql);
+          EXPECT_TRUE(rs.ok()) << sql << " -> " << rs.status().ToString();
+          return rs.ok() && rs->rows.size() == 1 ? rs->Int64At(0, 0).ValueOrDie() : -1;
+        };
+        // Returns the labels of the remaining papers.
+        auto check = [&](Database* db) {
+          sql::Executor exec(db);
+          auto point = exec.Execute("SELECT class FROM Labeled_Papers WHERE id = 3");
+          EXPECT_TRUE(point.ok() && point->rows.empty()) << "paper 3 still answers";
+          const int64_t rows = count(&exec, "SELECT COUNT(*) FROM Papers");
+          EXPECT_EQ(rows, kTestCorpusSize - 1);
+          EXPECT_EQ(count(&exec, "SELECT COUNT(*) FROM Labeled_Papers WHERE class = 'DB'") +
+                        count(&exec, "SELECT COUNT(*) FROM Labeled_Papers WHERE class = 'OTHER'"),
+                    rows);
+          ManagedView* view = db->GetView("Labeled_Papers").ValueOrDie();
+          EXPECT_TRUE(view->LabelOf(3).status().IsNotFound());
+          std::vector<std::string> labels;
+          for (int64_t id = 0; id < kTestCorpusSize; ++id) {
+            if (id != 3) labels.push_back(view->LabelOf(id).ValueOrDie());
+          }
+          return labels;
+        };
+        std::vector<std::string> live;
+        {
+          Database db(opts);
+          ASSERT_TRUE(db.Open().ok());
+          BuildTestCorpus(&db);
+          sql::Executor exec(&db);
+          ASSERT_TRUE(exec.Execute(std::string("CREATE CLASSIFICATION VIEW Labeled_Papers KEY id "
+                                               "ENTITIES FROM Papers KEY id LABELS FROM "
+                                               "Paper_Area LABEL label EXAMPLES FROM "
+                                               "Example_Papers KEY id LABEL label FEATURE "
+                                               "FUNCTION tf_bag_of_words ARCHITECTURE ") +
+                                   arch + " MODE " + mode)
+                          .ok());
+          for (int64_t id = 0; id < kTestCorpusSize; ++id) {
+            ASSERT_TRUE(exec.Execute("INSERT INTO Example_Papers VALUES (" +
+                                     std::to_string(id) + ", '" + TestCorpusLabel(id) + "')")
+                            .ok());
+          }
+          ASSERT_TRUE(exec.Execute("CHECKPOINT").ok());
+          ASSERT_TRUE(exec.Execute("DELETE FROM Papers WHERE id = 3").ok());
+          live = check(&db);
+          if (checkpoint_after_delete) {
+            ASSERT_TRUE(exec.Execute("CHECKPOINT").ok());
+          }
+          // Otherwise the destructor is the crash: no checkpoint, no flush.
+        }
+        {
+          Database db(opts);
+          ASSERT_TRUE(db.Open().ok());
+          EXPECT_EQ(check(&db), live);
+        }
+        ::unlink(opts.path.c_str());
+        ::unlink(storage::WalPathFor(opts.path).c_str());
+      }
+    }
   }
 }
 

@@ -34,13 +34,11 @@ using storage::ColumnType;
 using storage::Row;
 using storage::Schema;
 
-// Deterministic cost model (see persist_wal_test.cc) + aggressive daemon:
-// tiny byte threshold, fast polls — it checkpoints constantly, racing the
-// workload statements for the statement mutex.
+// An aggressive daemon: tiny byte threshold, fast polls — it checkpoints
+// constantly, racing the workload statements for the statement mutex.
 DatabaseOptions DaemonOptions(const std::string& path, bool daemon) {
   DatabaseOptions opts;
   opts.path = path;
-  opts.view_defaults.cost_model = core::CostModel::kTupleCount;
   opts.checkpointer.enabled = daemon;
   opts.checkpointer.wal_checkpoint_bytes = 2000;
   opts.checkpointer.poll_seconds = 0.001;
@@ -106,8 +104,6 @@ std::string StateBlobOf(Database* db) {
   auto view = db->GetView("Labeled_Papers");
   EXPECT_TRUE(view.ok());
   if (!view.ok()) return {};
-  EXPECT_TRUE((*view)->Flush().ok());
-  *(*view)->view()->mutable_stats() = core::ViewStats{};
   std::string blob;
   persist::ViewCheckpointer ckpt(db);
   EXPECT_TRUE(ckpt.SerializeViewState(**view, &blob).ok());

@@ -74,7 +74,7 @@ struct Snapshot {
   uint64_t other_count = 0;
   std::vector<double> model_w;
   double model_b = 0.0;
-  uint64_t updates = 0;
+  uint64_t train_steps = 0;
 };
 
 Snapshot Capture(ManagedView* mv) {
@@ -96,9 +96,9 @@ Snapshot Capture(ManagedView* mv) {
   EXPECT_TRUE(dbc.ok() && otc.ok());
   s.db_count = dbc.ok() ? *dbc : 0;
   s.other_count = otc.ok() ? *otc : 0;
-  s.model_w = mv->view()->model().w;
-  s.model_b = mv->view()->model().b;
-  s.updates = mv->view()->stats().updates;
+  s.model_w = mv->model().w;
+  s.model_b = mv->model().b;
+  s.train_steps = mv->trainer().steps();
   return s;
 }
 
@@ -158,11 +158,11 @@ TEST_F(CheckpointRoundTripTest, AllArchitecturesAndModes) {
     EXPECT_EQ(recovered.other_members, live.other_members);
     EXPECT_EQ(recovered.db_count, live.db_count);
     EXPECT_EQ(recovered.other_count, live.other_count);
-    // Zero retraining: the model comes back bit-identical and no update was
-    // replayed through the trainer.
+    // Zero retraining: the model comes back bit-identical and the trainer
+    // resumes its schedule where it stopped, with no step replayed.
     EXPECT_EQ(recovered.model_w, live.model_w);
     EXPECT_EQ(recovered.model_b, live.model_b);
-    EXPECT_EQ(recovered.updates, live.updates);
+    EXPECT_EQ(recovered.train_steps, live.train_steps);
 
     // Triggers are rewired: the recovered view classifies new entities and
     // keeps learning from new examples.
@@ -178,7 +178,9 @@ TEST_F(CheckpointRoundTripTest, AllArchitecturesAndModes) {
     auto examples = db.catalog()->GetTable("Example_Papers");
     ASSERT_TRUE(examples.ok());
     ASSERT_TRUE((*examples)->Insert(Row{int64_t{99}, std::string("DB")}).ok());
-    EXPECT_EQ((*view)->view()->stats().updates, live.updates + 1);
+    EXPECT_EQ((*view)->trainer().steps(), live.train_steps + 1);
+    // The counters restarted with the process.
+    EXPECT_EQ((*view)->stats().updates, 1u);
 
     ::unlink(path_.c_str());
     ::unlink(storage::WalPathFor(path_).c_str());
@@ -222,8 +224,8 @@ TEST_F(CheckpointRoundTripTest, RecoveredDatabaseLearnsIdenticallyToUninterrupte
     auto rv = resumed.GetView("Labeled_Papers");
     auto fv = reference.GetView("Labeled_Papers");
     ASSERT_TRUE(rv.ok() && fv.ok());
-    EXPECT_EQ((*rv)->view()->model().w, (*fv)->view()->model().w);
-    EXPECT_EQ((*rv)->view()->model().b, (*fv)->view()->model().b);
+    EXPECT_EQ((*rv)->model().w, (*fv)->model().w);
+    EXPECT_EQ((*rv)->model().b, (*fv)->model().b);
     for (int64_t id = 0; id < kTestCorpusSize; ++id) {
       auto a = (*rv)->LabelOf(id);
       auto b = (*fv)->LabelOf(id);
@@ -263,7 +265,7 @@ TEST_F(CheckpointRoundTripTest, SecondCheckpointSupersedesFirst) {
   EXPECT_EQ(db.checkpoint_epoch(), 2u);
   auto view = db.GetView("Labeled_Papers");
   ASSERT_TRUE(view.ok());
-  EXPECT_EQ((*view)->view()->stats().updates, static_cast<uint64_t>(kTestCorpusSize));
+  EXPECT_EQ((*view)->trainer().steps(), static_cast<uint64_t>(kTestCorpusSize));
   // Only the latest epoch's rows survive in the system tables after GC at
   // the next checkpoint; recovery must serve the latest state regardless.
   for (int64_t id = 0; id < kTestCorpusSize; ++id) {
@@ -344,6 +346,62 @@ TEST_F(CheckpointRoundTripTest, SmallNonHazyFileIsRejectedNotClobbered) {
   std::ifstream f(path_, std::ios::binary);
   std::string back((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
   EXPECT_EQ(back, content) << "failed open must not modify the file";
+}
+
+// Superseded view-state rows are collected after each commit, but a restart
+// rolls that collection back with the rest of the post-checkpoint work. The
+// next checkpoint purges them before it writes, so the state table holds at
+// most the durable epoch's row and the one before it, however many
+// checkpoint+reopen cycles run.
+TEST_F(CheckpointRoundTripTest, ReopenCyclesDoNotAccumulateStateRows) {
+  path_ = storage::TempFilePath("ckpt");
+  DatabaseOptions opts;
+  opts.path = path_;
+  {
+    Database db(opts);
+    ASSERT_TRUE(db.Open().ok());
+    BuildTestCorpus(&db);
+    ASSERT_TRUE(db.CreateClassificationView(
+                      DefFor({core::Architecture::kHazyMM, core::Mode::kEager}))
+                    .ok());
+    ASSERT_TRUE(db.Checkpoint().ok());
+  }
+  for (int cycle = 0; cycle < 6; ++cycle) {
+    Database db(opts);
+    ASSERT_TRUE(db.Open().ok());
+    auto state = db.catalog()->GetTable(persist::kViewStateTableName);
+    ASSERT_TRUE(state.ok());
+    EXPECT_LE((*state)->num_rows(), 2u) << "cycle " << cycle;
+    ASSERT_TRUE(db.Checkpoint().ok());
+  }
+}
+
+// Format v4 changed the view-state blob; a v3 file is refused, not misread.
+TEST_F(CheckpointRoundTripTest, Version3FileIsRefused) {
+  path_ = storage::TempFilePath("ckpt");
+  {
+    DatabaseOptions opts;
+    opts.path = path_;
+    Database db(opts);
+    ASSERT_TRUE(db.Open().ok());
+    BuildTestCorpus(&db);
+    ASSERT_TRUE(db.CreateClassificationView(
+                      DefFor({core::Architecture::kHazyMM, core::Mode::kEager}))
+                    .ok());
+    ASSERT_TRUE(db.Checkpoint().ok());
+  }
+  {
+    // The header's u32 format version sits at byte 8 of page 0.
+    std::fstream f(path_, std::ios::binary | std::ios::in | std::ios::out);
+    const char v3[4] = {3, 0, 0, 0};
+    f.seekp(8);
+    f.write(v3, sizeof(v3));
+  }
+  DatabaseOptions opts;
+  opts.path = path_;
+  Database db(opts);
+  Status s = db.Open();
+  EXPECT_EQ(s.code(), StatusCode::kNotSupported) << s.ToString();
 }
 
 TEST_F(CheckpointRoundTripTest, MulticheckpointWithMultipleViews) {

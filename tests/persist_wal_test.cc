@@ -2,8 +2,8 @@
 // exact-recovery contract: after a simulated crash at any fault point —
 // process kill between statements, torn page writes, a kill in the middle of
 // a checkpoint — a recovered database must serve classification views that
-// are *bit-identical* (serialized state, eps/water lines included) to a run
-// that never crashed. Also covers the file-growth fixes: stable file size
+// are *bit-identical* (serialized state: model, trainer steps, entities) to
+// a run that never crashed. Also covers the file-growth fixes: stable file size
 // across checkpoint+reopen cycles and VACUUM compaction.
 
 #include <fcntl.h>
@@ -75,14 +75,9 @@ Status FeedExample(Database* db, int64_t id) {
   return (*examples)->Insert(Row{id, std::string(TestCorpusLabel(id))});
 }
 
-// Options under which every architecture is bit-deterministic: reorganization
-// costs are tuple counts, not wall-clock seconds, so Skiing's accumulator and
-// decisions replay identically. (The default kMeasuredTime is inherently
-// nondeterministic across runs.)
 DatabaseOptions DeterministicOptions(const std::string& path) {
   DatabaseOptions opts;
   opts.path = path;
-  opts.view_defaults.cost_model = core::CostModel::kTupleCount;
   return opts;
 }
 
@@ -94,8 +89,9 @@ Status AddPaper(Database* db, int64_t id, const std::string& text) {
 
 // The scripted operation stream every scenario runs: corpus + view, a
 // checkpoint mid-way, then post-checkpoint training examples, new entities,
-// a batched insert, and a mid-batch read (an early queue fold the WAL must
-// reproduce). `upto` cuts the stream short for partial runs.
+// a batched insert, and a mid-batch read (it seals the open entity appends
+// early, which replay never does). `upto` cuts the stream short for partial
+// runs.
 Status RunWorkload(Database* db, const ArchMode& am, int upto = 1000) {
   int step = 0;
   auto live = [&]() { return step++ < upto; };
@@ -115,7 +111,7 @@ Status RunWorkload(Database* db, const ArchMode& am, int upto = 1000) {
     db->BeginUpdateBatch();
     HAZY_RETURN_NOT_OK(FeedExample(db, 100));
     HAZY_RETURN_NOT_OK(AddPaper(db, 101, "cell membrane protein folding pathway"));
-    // Mid-batch read: folds the queued examples early.
+    // Mid-batch read: answers from a private epoch over the batch so far.
     auto view = db->GetView("Labeled_Papers");
     HAZY_RETURN_NOT_OK(view.status());
     HAZY_RETURN_NOT_OK((*view)->LabelOf(101).status());
@@ -126,16 +122,12 @@ Status RunWorkload(Database* db, const ArchMode& am, int upto = 1000) {
 }
 
 // Serialized view state — the strongest equality there is: model, trainer
-// schedule position, replay log, feature statistics, per-record eps, water
-// lines, Skiing accumulator. The stats counters are zeroed first: they hold
-// wall-clock totals (total_update_seconds) and read-path tallies that are
-// reporting-only and can never be bit-equal across two separate processes.
+// schedule position, replay log, feature statistics, and every entity's
+// features in store order.
 std::string StateBlobOf(Database* db) {
   auto view = db->GetView("Labeled_Papers");
   EXPECT_TRUE(view.ok());
   if (!view.ok()) return {};
-  EXPECT_TRUE((*view)->Flush().ok());
-  *(*view)->view()->mutable_stats() = core::ViewStats{};
   std::string blob;
   persist::ViewCheckpointer ckpt(db);
   EXPECT_TRUE(ckpt.SerializeViewState(**view, &blob).ok());

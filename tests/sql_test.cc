@@ -82,7 +82,6 @@ TEST(ParserTest, Example21ViewDDL) {
   EXPECT_EQ(cv->def.label_table, "Paper_Area");
   EXPECT_EQ(cv->def.example_table, "Example_Papers");
   EXPECT_EQ(cv->def.feature_function, "tf_bag_of_words");
-  EXPECT_FALSE(cv->def.method_specified);
 }
 
 TEST(ParserTest, ViewWithUsingAndArchitecture) {
@@ -96,7 +95,6 @@ TEST(ParserTest, ViewWithUsingAndArchitecture) {
   ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
   const auto* cv = std::get_if<CreateViewStmt>(&*stmt);
   ASSERT_NE(cv, nullptr);
-  EXPECT_TRUE(cv->def.method_specified);
   EXPECT_EQ(cv->def.method, ml::LossKind::kHinge);
   EXPECT_EQ(cv->def.architecture, core::Architecture::kHybrid);
   EXPECT_EQ(cv->def.mode, core::Mode::kLazy);
@@ -389,12 +387,13 @@ TEST_F(SqlEndToEndTest, MultiRowInsertBatchesViewMaintenance) {
   auto view = db_->GetView("V");
   ASSERT_TRUE(view.ok());
 
-  // One multi-row INSERT = one UpdateBatch through the trigger queue.
+  // One multi-row INSERT = one update batch: four updates, one epoch.
+  const uint64_t epoch_before = (*view)->epochs().latest_epoch();
   auto rs = MustExec(
       "INSERT INTO X VALUES (1, 'A'), (2, 'A'), (3, 'B'), (4, 'B')");
   EXPECT_NE(rs.message.find("batched"), std::string::npos);
-  EXPECT_EQ((*view)->view()->stats().updates, 4u);
-  EXPECT_EQ((*view)->view()->stats().batches, 1u);
+  EXPECT_EQ((*view)->stats().updates, 4u);
+  EXPECT_EQ((*view)->epochs().latest_epoch(), epoch_before + 1);
 
   // The batch trained the view exactly like per-row inserts would have.
   rs = MustExec("SELECT class FROM V WHERE id = 1");
@@ -403,11 +402,11 @@ TEST_F(SqlEndToEndTest, MultiRowInsertBatchesViewMaintenance) {
   rs = MustExec("SELECT COUNT(*) FROM V WHERE class = 'B'");
   EXPECT_EQ(std::get<int64_t>(rs.rows[0][0]), 2);
 
-  // Single-row INSERTs stay on the per-example path.
+  // Single-row INSERTs publish one epoch each.
   MustExec("INSERT INTO E VALUES (5, 'alpha epsilon')");
   rs = MustExec("INSERT INTO X VALUES (5, 'A')");
   EXPECT_EQ(rs.message.find("batched"), std::string::npos);
-  EXPECT_EQ((*view)->view()->stats().batches, 1u);
+  EXPECT_EQ((*view)->epochs().latest_epoch(), epoch_before + 3);
   EXPECT_TRUE(exec_->Execute("SELECT * FROM V WHERE id = 5").ok());
 }
 

@@ -94,6 +94,25 @@ TEST_F(HeapFileTest, DeleteRemovesRecord) {
   EXPECT_EQ(seen, 1);
 }
 
+// Append reuses the tail page's deleted cells before it extends the chain,
+// so a table whose rows are replaced one at a time stays one page long.
+TEST_F(HeapFileTest, AppendReclaimsDeletedTailCells) {
+  const std::string rec(3000, 'r');
+  auto live = heap_->Append(rec);
+  ASSERT_TRUE(live.ok());
+  for (int i = 0; i < 20; ++i) {
+    auto next = heap_->Append(rec);
+    ASSERT_TRUE(next.ok());
+    ASSERT_TRUE(heap_->Delete(*live).ok());
+    live = next;
+  }
+  EXPECT_EQ(heap_->num_pages(), 1u);
+  EXPECT_EQ(heap_->num_records(), 1u);
+  std::string out;
+  ASSERT_TRUE(heap_->Get(*live, &out).ok());
+  EXPECT_EQ(out, rec);
+}
+
 TEST_F(HeapFileTest, ScanEarlyStop) {
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(heap_->Append("r").ok());
   int seen = 0;

@@ -60,6 +60,33 @@ TEST_F(SlottedPageTest, DeleteMarksSlot) {
   EXPECT_FALSE(page_.Delete(static_cast<uint16_t>(s)));  // already gone
 }
 
+// Compact reclaims the cell bytes of deleted records; the live records keep
+// their slots (RIDs) and bytes, and deleted slots stay deleted.
+TEST_F(SlottedPageTest, CompactReclaimsDeletedCellsAndKeepsSlots) {
+  std::vector<int> slots;
+  for (char c : std::string("abcdef")) slots.push_back(page_.Insert(std::string(1000, c)));
+  for (int s : slots) ASSERT_GE(s, 0);
+  EXPECT_LT(page_.Insert(std::string(3000, 'z')), 0);  // full
+  ASSERT_TRUE(page_.Delete(static_cast<uint16_t>(slots[1])));
+  ASSERT_TRUE(page_.Delete(static_cast<uint16_t>(slots[4])));
+  const size_t before = page_.FreeSpace();
+  EXPECT_TRUE(page_.Compact());
+  EXPECT_EQ(page_.FreeSpace(), before + 2000);
+  EXPECT_FALSE(page_.Compact());  // nothing left to reclaim
+  for (size_t i = 0; i < slots.size(); ++i) {
+    std::string_view got = page_.Get(static_cast<uint16_t>(slots[i]));
+    if (i == 1 || i == 4) {
+      EXPECT_TRUE(got.empty()) << i;
+    } else {
+      EXPECT_EQ(got, std::string(1000, "abcdef"[i])) << i;
+    }
+  }
+  const int fresh = page_.Insert(std::string(1900, 'z'));
+  ASSERT_GE(fresh, 0);
+  EXPECT_EQ(fresh, 6) << "slots are never reused";
+  EXPECT_EQ(page_.Get(static_cast<uint16_t>(fresh)), std::string(1900, 'z'));
+}
+
 TEST_F(SlottedPageTest, InPlaceMutation) {
   int s = page_.Insert("abcdef");
   ASSERT_GE(s, 0);

@@ -45,6 +45,15 @@ balance:
                            come back unnoticed. Like the pool-mutex fsync
                            rule it admits no `lint:allow` exceptions.
 
+  engine-builds-no-core-view
+                           No file under src/ outside src/core/ calls
+                           core::MakeView or names ClassificationView: the
+                           engine keeps each view's model, trainer and epoch
+                           store itself, and the five core:: architectures
+                           stay the paper-figure library behind ViewHarness.
+                           Like the pool-mutex fsync rule it admits no
+                           `lint:allow` exceptions.
+
   unconsumed-epoch-pin     Every EpochManager::Pin() result must be bound
                            (the SnapshotPin RAII holder is the unpin). A
                            discarded temporary unpins immediately and the
@@ -59,7 +68,7 @@ balance:
                            must carry a comment (same line or the lines just
                            above) saying why dropping the status is correct.
 
-A finding of any rule but those two can be suppressed with
+A finding of any rule but those three can be suppressed with
 `// lint:allow <rule-name>` on the same line or the line above, which is
 itself the documentation.
 
@@ -283,6 +292,22 @@ def check_reads_through_epochs():
                        "epoch (ManagedView::ReadEpoch or a SnapshotPin)")
 
 
+CORE_VIEW_BUILD_RE = re.compile(r"\bMakeView\s*\(|\bClassificationView\b")
+
+
+def check_engine_builds_no_core_view():
+    for path in sorted(SRC.rglob("*.cc")) + sorted(SRC.rglob("*.h")):
+        if path.relative_to(SRC).parts[0] == "core":
+            continue
+        lines = path.read_text().splitlines()
+        for idx, line in enumerate(lines):
+            if CORE_VIEW_BUILD_RE.search(line.split("//")[0]):
+                report(path, idx, "engine-builds-no-core-view",
+                       "core view built or named outside src/core/ — keep "
+                       "the view's model, trainer and epoch store in "
+                       "engine::ManagedView")
+
+
 PIN_BARE_RE = re.compile(r"^\s*[\w\.\->\(\)]*\bPin\(\)\s*;")
 
 
@@ -343,6 +368,7 @@ def main():
     check_statement_lock_site()
     check_sql_reads_epoch()
     check_reads_through_epochs()
+    check_engine_builds_no_core_view()
     check_unconsumed_epoch_pin()
     check_escape_hatch_budget()
     check_unexplained_void_status()
