@@ -10,10 +10,15 @@
 #include <cstring>
 
 #include "common/strings.h"
+#include "storage/coding.h"
 
 namespace hazy::client {
 
 namespace {
+
+// First read of a reply, before its length is known: enough for every
+// small reply in one recv().
+constexpr size_t kHeadRead = 4096;
 
 Status Errno(const char* what) {
   return Status::IOError(StrFormat("%s: %s", what, std::strerror(errno)));
@@ -61,7 +66,7 @@ HazyClient::~HazyClient() {
 Status HazyClient::Handshake(const std::string& client_name) {
   std::string payload;
   rpc::EncodeHelloPayload(rpc::kProtocolVersion, client_name, &payload);
-  HAZY_ASSIGN_OR_RETURN(rpc::Frame reply, RoundTrip(rpc::Opcode::kHello, payload));
+  HAZY_ASSIGN_OR_RETURN(rpc::FrameView reply, RoundTrip(rpc::Opcode::kHello, payload));
   if (reply.opcode != rpc::Opcode::kHelloOk) {
     return Status::Internal(StrFormat("HELLO answered with %s",
                                       rpc::OpcodeName(reply.opcode)));
@@ -69,7 +74,7 @@ Status HazyClient::Handshake(const std::string& client_name) {
   uint32_t server_version = 0;
   HAZY_RETURN_NOT_OK(
       rpc::DecodeHelloPayload(reply.payload, &server_version, &server_name_));
-  if (server_version > rpc::kProtocolVersion) {
+  if (server_version != rpc::kProtocolVersion) {
     return Status::NotSupported(StrFormat(
         "server speaks protocol %u, client speaks %u", server_version,
         rpc::kProtocolVersion));
@@ -91,7 +96,7 @@ Status HazyClient::SendAll(std::string_view bytes) {
   return Status::OK();
 }
 
-StatusOr<std::string> HazyClient::ReadFrameBytes() {
+StatusOr<size_t> HazyClient::ReadFrame() {
   for (;;) {
     rpc::FrameView frame;
     size_t frame_bytes = 0;
@@ -101,30 +106,38 @@ StatusOr<std::string> HazyClient::ReadFrameBytes() {
     if (rc == rpc::FrameDecode::kBad) {
       return Status::Corruption(StrFormat("bad frame from server: %s", error.c_str()));
     }
-    if (rc == rpc::FrameDecode::kFrame) {
-      std::string raw = recv_buf_.substr(0, frame_bytes);
-      recv_buf_.erase(0, frame_bytes);
-      return raw;
+    if (rc == rpc::FrameDecode::kFrame) return frame_bytes;
+    // recv() writes straight into the buffer the reply is decoded from: a
+    // small read until the length is in, then the rest of the frame.
+    size_t want = kHeadRead;
+    if (recv_buf_.size() >= 4) {
+      want = 4 + static_cast<size_t>(storage::DecodeFixed32(recv_buf_.data())) -
+             recv_buf_.size();
     }
-    char chunk[64 * 1024];
-    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (n == 0) return Status::IOError("server closed the connection");
+    const size_t old_size = recv_buf_.size();
+    recv_buf_.resize(old_size + want);
+    const ssize_t n = ::recv(fd_, recv_buf_.data() + old_size, want, 0);
     if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("recv");
+      const Status s = errno == EINTR ? Status::OK() : Errno("recv");
+      recv_buf_.resize(old_size);
+      HAZY_RETURN_NOT_OK(s);
+      continue;
     }
-    recv_buf_.append(chunk, static_cast<size_t>(n));
+    recv_buf_.resize(old_size + static_cast<size_t>(n));
+    if (n == 0) return Status::IOError("server closed the connection");
   }
 }
 
-StatusOr<std::string> HazyClient::RoundTripRaw(rpc::Opcode op,
-                                               std::string_view payload) {
+Status HazyClient::Exchange(rpc::Opcode op, std::string_view payload,
+                            std::string_view* raw, rpc::FrameView* reply) {
   if (closed_) return Status::InvalidArgument("client is closed");
+  // The previous reply is no longer referenced.
+  recv_buf_.erase(0, recv_used_);
+  recv_used_ = 0;
   const uint32_t request_id = next_request_id_++;
   std::string request;
   rpc::EncodeFrame(op, request_id, payload, &request);
 
-  std::string raw;
   if (session_ != nullptr) {
     rpc::FrameView view;
     size_t frame_bytes = 0;
@@ -135,45 +148,50 @@ StatusOr<std::string> HazyClient::RoundTripRaw(rpc::Opcode op,
                                         error.c_str()));
     }
     bool close_after = false;
-    raw = session_->HandleFrame(view, &close_after);
+    loopback_reply_ = session_->HandleFrame(view, &close_after);
     if (close_after) closed_ = true;
+    *raw = loopback_reply_;
   } else {
     HAZY_RETURN_NOT_OK(SendAll(request));
-    HAZY_ASSIGN_OR_RETURN(raw, ReadFrameBytes());
+    HAZY_ASSIGN_OR_RETURN(recv_used_, ReadFrame());
+    *raw = std::string_view(recv_buf_).substr(0, recv_used_);
   }
 
   // A synchronous client has exactly one request outstanding; the response
   // id must echo it.
-  rpc::FrameView reply;
   size_t frame_bytes = 0;
-  if (rpc::TryDecodeFrame(raw, &reply, &frame_bytes, nullptr) !=
+  if (rpc::TryDecodeFrame(*raw, reply, &frame_bytes, nullptr) !=
       rpc::FrameDecode::kFrame) {
     return Status::Corruption("undecodable response frame");
   }
-  if (reply.request_id != request_id) {
+  if (reply->request_id != request_id) {
     return Status::Corruption(StrFormat("response id %u for request id %u",
-                                        reply.request_id, request_id));
+                                        reply->request_id, request_id));
   }
-  return raw;
+  return Status::OK();
 }
 
-StatusOr<rpc::Frame> HazyClient::RoundTrip(rpc::Opcode op,
-                                           std::string_view payload) {
-  HAZY_ASSIGN_OR_RETURN(std::string raw, RoundTripRaw(op, payload));
-  rpc::FrameView view;
-  size_t frame_bytes = 0;
-  if (rpc::TryDecodeFrame(raw, &view, &frame_bytes, nullptr) !=
-      rpc::FrameDecode::kFrame) {
-    return Status::Corruption("undecodable response frame");
+StatusOr<std::string> HazyClient::RoundTripRaw(rpc::Opcode op,
+                                               std::string_view payload) {
+  std::string_view raw;
+  rpc::FrameView reply;
+  HAZY_RETURN_NOT_OK(Exchange(op, payload, &raw, &reply));
+  return std::string(raw);
+}
+
+StatusOr<rpc::FrameView> HazyClient::RoundTrip(rpc::Opcode op,
+                                               std::string_view payload) {
+  std::string_view raw;
+  rpc::FrameView reply;
+  HAZY_RETURN_NOT_OK(Exchange(op, payload, &raw, &reply));
+  if (reply.opcode == rpc::Opcode::kError || reply.opcode == rpc::Opcode::kBusy) {
+    return rpc::DecodeErrorPayload(reply.payload);
   }
-  if (view.opcode == rpc::Opcode::kError || view.opcode == rpc::Opcode::kBusy) {
-    return rpc::DecodeErrorPayload(view.payload);
-  }
-  return rpc::Frame::Copy(view);
+  return reply;
 }
 
 StatusOr<sql::ResultSet> HazyClient::Query(const std::string& sql) {
-  HAZY_ASSIGN_OR_RETURN(rpc::Frame reply, RoundTrip(rpc::Opcode::kQuery, sql));
+  HAZY_ASSIGN_OR_RETURN(rpc::FrameView reply, RoundTrip(rpc::Opcode::kQuery, sql));
   if (reply.opcode != rpc::Opcode::kResult) {
     return Status::Internal(StrFormat("QUERY answered with %s",
                                       rpc::OpcodeName(reply.opcode)));
@@ -182,7 +200,7 @@ StatusOr<sql::ResultSet> HazyClient::Query(const std::string& sql) {
 }
 
 StatusOr<PreparedHandle> HazyClient::Prepare(const std::string& sql_template) {
-  HAZY_ASSIGN_OR_RETURN(rpc::Frame reply,
+  HAZY_ASSIGN_OR_RETURN(rpc::FrameView reply,
                         RoundTrip(rpc::Opcode::kPrepare, sql_template));
   if (reply.opcode != rpc::Opcode::kPrepared) {
     return Status::Internal(StrFormat("PREPARE answered with %s",
@@ -203,7 +221,7 @@ StatusOr<sql::ResultSet> HazyClient::ExecPrepared(
   }
   std::string payload;
   rpc::EncodeExecPayload(handle.id, params, &payload);
-  HAZY_ASSIGN_OR_RETURN(rpc::Frame reply,
+  HAZY_ASSIGN_OR_RETURN(rpc::FrameView reply,
                         RoundTrip(rpc::Opcode::kExecPrepared, payload));
   if (reply.opcode != rpc::Opcode::kResult) {
     return Status::Internal(StrFormat("EXEC_PREPARED answered with %s",
@@ -215,7 +233,7 @@ StatusOr<sql::ResultSet> HazyClient::ExecPrepared(
 Status HazyClient::CloseStmt(const PreparedHandle& handle) {
   std::string payload;
   rpc::EncodeCloseStmtPayload(handle.id, &payload);
-  HAZY_ASSIGN_OR_RETURN(rpc::Frame reply,
+  HAZY_ASSIGN_OR_RETURN(rpc::FrameView reply,
                         RoundTrip(rpc::Opcode::kCloseStmt, payload));
   if (reply.opcode != rpc::Opcode::kStmtClosed) {
     return Status::Internal(StrFormat("CLOSE_STMT answered with %s",
@@ -225,7 +243,7 @@ Status HazyClient::CloseStmt(const PreparedHandle& handle) {
 }
 
 StatusOr<sql::ResultSet> HazyClient::Stats(const std::string& like) {
-  HAZY_ASSIGN_OR_RETURN(rpc::Frame reply, RoundTrip(rpc::Opcode::kStats, like));
+  HAZY_ASSIGN_OR_RETURN(rpc::FrameView reply, RoundTrip(rpc::Opcode::kStats, like));
   if (reply.opcode != rpc::Opcode::kResult) {
     return Status::Internal(StrFormat("STATS answered with %s",
                                       rpc::OpcodeName(reply.opcode)));
@@ -234,7 +252,7 @@ StatusOr<sql::ResultSet> HazyClient::Stats(const std::string& like) {
 }
 
 Status HazyClient::Ping() {
-  HAZY_ASSIGN_OR_RETURN(rpc::Frame reply, RoundTrip(rpc::Opcode::kPing, {}));
+  HAZY_ASSIGN_OR_RETURN(rpc::FrameView reply, RoundTrip(rpc::Opcode::kPing, {}));
   if (reply.opcode != rpc::Opcode::kPong) {
     return Status::Internal(StrFormat("PING answered with %s",
                                       rpc::OpcodeName(reply.opcode)));

@@ -91,16 +91,27 @@ class HazyClient {
 
   Status Handshake(const std::string& client_name);
 
-  /// RoundTripRaw + decode + ERROR/BUSY → Status.
-  StatusOr<rpc::Frame> RoundTrip(rpc::Opcode op, std::string_view payload);
+  /// Sends one request and waits for its reply. `*raw` (the whole frame)
+  /// and `*reply` alias the receive buffer, or the loopback reply, until
+  /// the next exchange: a reply is decoded where recv() put it.
+  Status Exchange(rpc::Opcode op, std::string_view payload, std::string_view* raw,
+                  rpc::FrameView* reply);
+
+  /// Exchange + ERROR/BUSY → Status.
+  StatusOr<rpc::FrameView> RoundTrip(rpc::Opcode op, std::string_view payload);
 
   /// Socket transport internals (no-ops for loopback).
   Status SendAll(std::string_view bytes);
-  StatusOr<std::string> ReadFrameBytes();
+  /// Receives until recv_buf_ starts with one whole frame; returns its size.
+  StatusOr<size_t> ReadFrame();
 
   int fd_ = -1;                                 // socket transport
   std::string recv_buf_;
+  /// Bytes at the front of recv_buf_ holding the last reply; the next
+  /// exchange drops them.
+  size_t recv_used_ = 0;
   std::unique_ptr<server::Session> session_;    // loopback transport
+  std::string loopback_reply_;
   uint32_t next_request_id_ = 1;
   std::string server_name_;
   bool closed_ = false;

@@ -196,7 +196,7 @@ void EpochSnapshot::ForEachLabeledChunk(ScanCounts* counts, Fn fn) const {
   for (const auto& chunk : store_->chunks()) {
     labels.resize(chunk->rows.size());
     LabelChunk(*chunk, labels.data(), &local, &delta_cache);
-    fn(*chunk, labels.data());
+    if (!fn(*chunk, labels.data())) break;
   }
   if (counts != nullptr) {
     counts->scored += local.scored;
@@ -205,12 +205,16 @@ void EpochSnapshot::ForEachLabeledChunk(ScanCounts* counts, Fn fn) const {
 }
 
 StatusOr<std::vector<int64_t>> EpochSnapshot::AllMembers(
-    int label, ScanCounts* counts) const {
+    int label, ScanCounts* counts, size_t limit) const {
   std::vector<int64_t> out;
+  if (limit == 0) return out;
   ForEachLabeledChunk(counts, [&](const EpochChunk& chunk, const int8_t* labels) {
     for (size_t i = 0; i < chunk.rows.size(); ++i) {
-      if (labels[i] == label) out.push_back(chunk.rows[i].id);
+      if (labels[i] != label) continue;
+      out.push_back(chunk.rows[i].id);
+      if (out.size() == limit) return false;
     }
+    return true;
   });
   return out;
 }
@@ -220,6 +224,7 @@ StatusOr<uint64_t> EpochSnapshot::AllMembersCount(int label,
   uint64_t n = 0;
   ForEachLabeledChunk(counts, [&](const EpochChunk& chunk, const int8_t* labels) {
     for (size_t i = 0; i < chunk.rows.size(); ++i) n += labels[i] == label;
+    return true;
   });
   return n;
 }
@@ -232,6 +237,7 @@ std::vector<std::pair<int64_t, int8_t>> EpochSnapshot::LabeledEntities(
     for (size_t i = 0; i < chunk.rows.size(); ++i) {
       out.emplace_back(chunk.rows[i].id, labels[i]);
     }
+    return true;
   });
   return out;
 }

@@ -44,6 +44,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -131,10 +132,13 @@ class EpochSnapshot {
   /// Label of one entity under this epoch's model (NotFound if absent).
   StatusOr<int> SingleEntityRead(int64_t id) const;
 
-  /// All entity ids labeled `label` (+1/-1), in store order. Adds the rows
+  /// The first `limit` entity ids labeled `label` (+1/-1), in store order
+  /// (all of them with no limit). Labeling stops with the chunk that
+  /// completes the limit, so a small LIMIT labels few chunks. Adds the rows
   /// scored and the rows settled by the water lines to *counts when set.
-  StatusOr<std::vector<int64_t>> AllMembers(int label,
-                                            ScanCounts* counts = nullptr) const;
+  StatusOr<std::vector<int64_t>> AllMembers(
+      int label, ScanCounts* counts = nullptr,
+      size_t limit = std::numeric_limits<size_t>::max()) const;
 
   /// Count of entities labeled `label`.
   StatusOr<uint64_t> AllMembersCount(int label,
@@ -150,7 +154,8 @@ class EpochSnapshot {
   friend class EpochManager;
 
   /// Calls fn(chunk, labels) per chunk in store order, with labels[i] the
-  /// sign of chunk.rows[i] under this epoch's model.
+  /// sign of chunk.rows[i] under this epoch's model, until fn returns
+  /// false.
   template <typename Fn>
   void ForEachLabeledChunk(ScanCounts* counts, Fn fn) const;
 

@@ -57,7 +57,8 @@ void ManagedView::PublishEpochNow() {
   epoch_publish_pending_ = false;
 }
 
-core::SnapshotPin ManagedView::ReadEpoch() {
+StatusOr<core::SnapshotPin> ManagedView::ReadEpoch() {
+  if (retrain_pending_) HAZY_RETURN_NOT_OK(db_->RebuildFromScratch(this));
   if (!epoch_publish_pending_) return epochs_.Pin();
   // No manager: the epoch is private to this read and never published.
   return core::SnapshotPin(nullptr, std::make_shared<const core::EpochSnapshot>(
@@ -85,7 +86,7 @@ void ManagedView::RecordRead(const core::ScanCounts& scan) const {
 
 StatusOr<std::string> ManagedView::LabelOf(int64_t id) {
   std::lock_guard<std::recursive_mutex> lock(*db_->statement_mutex());
-  core::SnapshotPin snap = ReadEpoch();
+  HAZY_ASSIGN_OR_RETURN(core::SnapshotPin snap, ReadEpoch());
   RecordRead();
   HAZY_ASSIGN_OR_RETURN(int sign, snap->SingleEntityRead(id));
   return LabelString(sign);
@@ -93,7 +94,7 @@ StatusOr<std::string> ManagedView::LabelOf(int64_t id) {
 
 StatusOr<std::vector<int64_t>> ManagedView::MembersOf(const std::string& label) {
   std::lock_guard<std::recursive_mutex> lock(*db_->statement_mutex());
-  core::SnapshotPin snap = ReadEpoch();
+  HAZY_ASSIGN_OR_RETURN(core::SnapshotPin snap, ReadEpoch());
   HAZY_ASSIGN_OR_RETURN(int sign, LabelSign(label));
   core::ScanCounts counts;
   HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids, snap->AllMembers(sign, &counts));
@@ -103,7 +104,7 @@ StatusOr<std::vector<int64_t>> ManagedView::MembersOf(const std::string& label) 
 
 StatusOr<uint64_t> ManagedView::CountOf(const std::string& label) {
   std::lock_guard<std::recursive_mutex> lock(*db_->statement_mutex());
-  core::SnapshotPin snap = ReadEpoch();
+  HAZY_ASSIGN_OR_RETURN(core::SnapshotPin snap, ReadEpoch());
   HAZY_ASSIGN_OR_RETURN(int sign, LabelSign(label));
   core::ScanCounts counts;
   HAZY_ASSIGN_OR_RETURN(uint64_t n, snap->AllMembersCount(sign, &counts));
@@ -488,8 +489,8 @@ Status Database::ArmTriggers(ManagedView* raw) {
   // An entity tuple that changes or leaves changes the entity set, and
   // with it the features: retrain (paper footnote 2).
   entities->AddUpdateTrigger(
-      [this, raw](const Row&, const Row&) { return RebuildFromScratch(raw); });
-  entities->AddDeleteTrigger([this, raw](const Row&) { return RebuildFromScratch(raw); });
+      [this, raw](const Row&, const Row&) { return RequestRetrain(raw); });
+  entities->AddDeleteTrigger([this, raw](const Row&) { return RequestRetrain(raw); });
   examples->AddInsertTrigger([this, raw](const Row& row) {
     return OnExampleInsert(raw, row);
   });
@@ -513,15 +514,23 @@ Status Database::EndUpdateBatch() {
     return Status::InvalidArgument("EndUpdateBatch without BeginUpdateBatch");
   }
   if (--batch_depth_ > 0) return Status::OK();
-  // batch_depth_ is back to 0, so the publishes below are real: exactly
+  // batch_depth_ is back to 0, so the retrains and publishes below are
+  // real: one retrain per view the batch asked to retrain, then exactly
   // one epoch per view the batch changed.
+  Status retrained;
   const std::shared_ptr<const ViewList> list = views();
   for (const auto& v : *list) {
+    if (v->retrain_pending_) {
+      Status s = RebuildFromScratch(v.get());
+      if (retrained.ok()) retrained = s;
+    }
     if (v->epoch_publish_pending_) v->PublishEpochNow();
   }
   // One commit marker covers the whole batch; replay re-brackets it in
-  // BeginUpdateBatch/EndUpdateBatch, so it publishes one epoch again.
-  const Status committed = wal_ ? wal_->EndGroup() : Status::OK();
+  // BeginUpdateBatch/EndUpdateBatch, so it retrains and publishes once
+  // again.
+  Status committed = wal_ ? wal_->EndGroup() : Status::OK();
+  if (committed.ok()) committed = retrained;
   // The boundary consults the daemon's byte threshold directly, so the WAL
   // bound holds deterministically for batched ingest even when a batch
   // outpaces the daemon's poll.
@@ -602,7 +611,7 @@ Status Database::OnExampleDelete(ManagedView* mv, const Row& row) {
                          [&](const auto& p) { return p.first == id; });
   if (it != mv->example_log_.end()) mv->example_log_.erase(it);
   // Paper footnote 2: deletions retrain the model from scratch.
-  return RebuildFromScratch(mv);
+  return RequestRetrain(mv);
 }
 
 Status Database::OnExampleUpdate(ManagedView* mv, const Row& old_row,
@@ -629,7 +638,16 @@ Status Database::OnExampleUpdate(ManagedView* mv, const Row& old_row,
   }
   // Footnote 2: "Hazy supports deletion and change of labels by retraining
   // the model from scratch, i.e., not incrementally."
-  return RebuildFromScratch(mv);
+  return RequestRetrain(mv);
+}
+
+Status Database::RequestRetrain(ManagedView* mv) {
+  if (!in_update_batch()) return RebuildFromScratch(mv);
+  // Inside a batch the retrain waits for the batch's end (or an engine-API
+  // read inside it) and then runs once, over the tables as they stand: one
+  // retrain for a multi-row DELETE or UPDATE instead of one per row.
+  mv->retrain_pending_ = true;
+  return Status::OK();
 }
 
 Status Database::RebuildFromScratch(ManagedView* mv) {
@@ -666,6 +684,7 @@ Status Database::RebuildFromScratch(ManagedView* mv) {
     mv->trainer_.AddExample(&mv->model_, ml::LabeledExample{id, *fit->second, sign});
   }
   mv->store_builder_.ReplaceAll(std::move(ents));
+  mv->retrain_pending_ = false;
   mv->PublishEpoch();
   return Status::OK();
 }

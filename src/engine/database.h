@@ -75,7 +75,8 @@ class ManagedView {
   const ClassificationViewDef& def() const { return def_; }
 
   /// The current model: every example folded so far (statement mutex
-  /// held by the writer; read it from the writing thread).
+  /// held by the writer; read it from the writing thread). Inside an
+  /// update batch it lags a retrain the batch deferred (ReadEpoch runs it).
   const ml::LinearModel& model() const { return model_; }
 
   /// The model's trainer; its step count positions the learning-rate
@@ -143,8 +144,9 @@ class ManagedView {
   /// Outside a batch every change publishes at once, so that is the latest
   /// published epoch. Inside one the changes wait for EndUpdateBatch, so it
   /// is an unpublished epoch over the sealed store builder: the caller sees
-  /// its own writes and SQL readers still do not.
-  core::SnapshotPin ReadEpoch();
+  /// its own writes and SQL readers still do not. A retrain the batch
+  /// deferred runs first.
+  StatusOr<core::SnapshotPin> ReadEpoch();
 
   /// Folds one arriving training example into the model and publishes.
   void Train(const ml::LabeledExample& example);
@@ -168,6 +170,10 @@ class ManagedView {
   /// mid-batch would let snapshot readers observe a partially applied
   /// statement, so the publish defers to the outermost EndUpdateBatch.
   bool epoch_publish_pending_ = false;
+  /// Set when a change that retrains (paper footnote 2) arrives inside an
+  /// update batch: the batch retrains once, at the outermost
+  /// EndUpdateBatch or at an engine-API read before it.
+  bool retrain_pending_ = false;
 };
 
 /// \brief Configuration for a Database instance. Eviction write-back has no
@@ -316,10 +322,11 @@ class Database {
   /// brackets them in one batch again.
   void BeginUpdateBatch();
 
-  /// Leaves batched-trigger mode, publishing every view's epoch when the
-  /// outermost batch ends. A checkpoint the background checkpointer could
-  /// not take mid-batch runs here, at the batch boundary; so does one the
-  /// WAL byte threshold calls for.
+  /// Leaves batched-trigger mode. When the outermost batch ends, every
+  /// view a change in it must retrain from scratch retrains once, and
+  /// every view the batch changed publishes one epoch. A checkpoint the
+  /// background checkpointer could not take mid-batch runs here, at the
+  /// batch boundary; so does one the WAL byte threshold calls for.
   Status EndUpdateBatch();
 
   /// Background-checkpointer hand-off: asks whoever holds the statement
@@ -344,6 +351,7 @@ class Database {
   }
 
  private:
+  friend class ManagedView;  // ReadEpoch runs a deferred retrain
   friend class persist::ViewCheckpointer;
 
   /// Open() body; Open() wraps it with failure cleanup.
@@ -411,8 +419,13 @@ class Database {
 
   /// Paper footnote 2: example deletes and label changes retrain the model
   /// from scratch; so do entity updates and deletes (the entity set, and
-  /// with it the features, changed). Re-featurizes a scan of the entity
-  /// table into the store builder and replays the example log.
+  /// with it the features, changed). Outside an update batch the retrain
+  /// runs at once; inside one it is only marked (retrain_pending_), so a
+  /// statement or batch of such changes retrains once.
+  Status RequestRetrain(ManagedView* mv);
+
+  /// The retrain: re-featurizes a scan of the entity table into the store
+  /// builder, replays the example log into a fresh model and publishes.
   Status RebuildFromScratch(ManagedView* mv);
 
   DatabaseOptions options_;

@@ -83,6 +83,13 @@ Status StateReader::GetString(std::string* v) {
   return Status::OK();
 }
 
+Status StateReader::GetBytes(size_t n, std::string_view* v) {
+  if (data_.size() < n) return Truncated("bytes");
+  *v = data_.substr(0, n);
+  data_.remove_prefix(n);
+  return Status::OK();
+}
+
 Status StateReader::CheckCount(uint64_t n, size_t min_bytes) const {
   if (min_bytes == 0) min_bytes = 1;
   if (n > data_.size() / min_bytes) {

@@ -74,6 +74,8 @@ class StateReader {
   Status GetI64(int64_t* v);
   Status GetDouble(double* v);
   Status GetString(std::string* v);
+  /// Takes the next `n` bytes as a view into the blob (no copy).
+  Status GetBytes(size_t n, std::string_view* v);
   Status ExpectTag(uint32_t tag);
 
   Status GetDoubleVec(std::vector<double>* v);

@@ -69,10 +69,15 @@ const char* OpcodeName(Opcode op) {
 
 void EncodeFrame(Opcode opcode, uint32_t request_id, std::string_view payload,
                  std::string* out) {
-  storage::PutFixed32(out, static_cast<uint32_t>(payload.size() + 5));
+  EncodeFrameHeader(opcode, request_id, payload.size(), out);
+  out->append(payload.data(), payload.size());
+}
+
+void EncodeFrameHeader(Opcode opcode, uint32_t request_id, size_t payload_bytes,
+                       std::string* out) {
+  storage::PutFixed32(out, static_cast<uint32_t>(payload_bytes + 5));
   out->push_back(static_cast<char>(opcode));
   storage::PutFixed32(out, request_id);
-  out->append(payload.data(), payload.size());
 }
 
 FrameDecode TryDecodeFrame(std::string_view buf, FrameView* frame,

@@ -29,9 +29,11 @@
 
 namespace hazy::rpc {
 
-/// Protocol revision sent in HELLO; the server rejects clients that speak a
-/// newer major revision than it does.
-constexpr uint32_t kProtocolVersion = 1;
+/// Protocol revision sent in HELLO. Revision 2 carries ResultSet v2 (one
+/// typed block per column; see sql/result_set.h) in RESULT frames. The
+/// server answers a HELLO of any other revision with NotSupported, and the
+/// client refuses a server of another revision.
+constexpr uint32_t kProtocolVersion = 2;
 
 /// u32 length + u8 opcode + u32 request id.
 constexpr size_t kFrameHeaderBytes = 9;
@@ -93,6 +95,11 @@ struct Frame {
 /// Appends one encoded frame to *out.
 void EncodeFrame(Opcode opcode, uint32_t request_id, std::string_view payload,
                  std::string* out);
+
+/// Appends the header of a frame whose `payload_bytes` the caller appends
+/// next, so a payload can be encoded straight into its frame.
+void EncodeFrameHeader(Opcode opcode, uint32_t request_id, size_t payload_bytes,
+                       std::string* out);
 
 /// Result of attempting to decode a frame from the front of a buffer.
 enum class FrameDecode {

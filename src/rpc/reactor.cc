@@ -283,7 +283,13 @@ void Reactor::DrainPending() {
     auto it = conns_.find(s.conn_id);
     if (it == conns_.end()) continue;  // peer already gone
     Conn& conn = it->second;
-    conn.out.append(s.bytes);
+    // An idle connection takes the reply buffer itself: the bytes the
+    // session encoded are the bytes send() reads, with no copy between.
+    if (conn.out.empty()) {
+      conn.out = std::move(s.bytes);
+    } else {
+      conn.out.append(s.bytes);
+    }
     if (s.close_after_flush) conn.close_after_flush = true;
     FlushOutput(s.conn_id, &conn);
   }

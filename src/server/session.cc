@@ -27,13 +27,8 @@ std::string Session::BusyFrame(uint32_t request_id) {
 }
 
 std::string Session::StatsFrame(const rpc::FrameView& frame) {
-  sql::ResultSet rs = sql::MetricsResultSet(std::string(frame.payload));
-  std::string payload;
-  Status s = rs.Encode(&payload);
-  if (!s.ok()) return ErrorFrame(frame.request_id, s);
-  std::string out;
-  rpc::EncodeFrame(rpc::Opcode::kResult, frame.request_id, payload, &out);
-  return out;
+  return ResultFrame(frame.request_id,
+                     sql::MetricsResultSet(std::string(frame.payload)));
 }
 
 std::string Session::ErrorFrame(uint32_t request_id, const Status& status) {
@@ -51,12 +46,13 @@ std::string Session::EmptyFrame(rpc::Opcode op, uint32_t request_id) {
 }
 
 std::string Session::ResultFrame(uint32_t request_id, const sql::ResultSet& rs) {
-  std::string payload;
-  Status s = rs.Encode(&payload);
-  if (!s.ok()) return ErrorFrame(request_id, s);
-  // A frame over the cap fails the client's decoder and is never drained,
-  // which would break every later response on the connection.
-  const uint64_t frame_bytes = payload.size() + 5;  // + opcode + request id
+  // The columns give the encoded size up front. A frame over the cap fails
+  // the client's decoder and is never drained, which would break every
+  // later response on the connection, so it is refused before any byte of
+  // it is built.
+  StatusOr<uint64_t> payload_bytes = rs.EncodedSize();
+  if (!payload_bytes.ok()) return ErrorFrame(request_id, payload_bytes.status());
+  const uint64_t frame_bytes = *payload_bytes + 5;  // + opcode + request id
   if (frame_bytes > rpc::kMaxFrameBytes) {
     return ErrorFrame(request_id,
                       Status::ResourceExhausted(StrFormat(
@@ -64,8 +60,12 @@ std::string Session::ResultFrame(uint32_t request_id, const sql::ResultSet& rs) 
                           static_cast<unsigned long long>(frame_bytes),
                           rpc::kMaxFrameBytes)));
   }
+  // Encoded straight into the frame: the reply's only copy before send().
   std::string frame;
-  rpc::EncodeFrame(rpc::Opcode::kResult, request_id, payload, &frame);
+  frame.reserve(rpc::kFrameHeaderBytes + *payload_bytes);
+  rpc::EncodeFrameHeader(rpc::Opcode::kResult, request_id, *payload_bytes, &frame);
+  Status s = rs.Encode(&frame);
+  if (!s.ok()) return ErrorFrame(request_id, s);
   return frame;
 }
 
@@ -87,7 +87,7 @@ std::string Session::HandleLocked(const rpc::FrameView& frame, bool* close_after
       std::string client_name;
       Status s = rpc::DecodeHelloPayload(frame.payload, &version, &client_name);
       if (!s.ok()) return ErrorFrame(frame.request_id, s);
-      if (version > rpc::kProtocolVersion) {
+      if (version != rpc::kProtocolVersion) {
         return ErrorFrame(
             frame.request_id,
             Status::NotSupported(StrFormat(

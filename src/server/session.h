@@ -52,7 +52,7 @@ class Session {
   // Frame builders (each returns one fully encoded frame).
   static std::string ErrorFrame(uint32_t request_id, const Status& status);
   static std::string EmptyFrame(rpc::Opcode op, uint32_t request_id);
-  std::string ResultFrame(uint32_t request_id, const sql::ResultSet& rs);
+  static std::string ResultFrame(uint32_t request_id, const sql::ResultSet& rs);
 
   const uint64_t id_;
   /// Runs every QUERY and EXEC_PREPARED frame. It serializes statements

@@ -235,13 +235,14 @@ const char* SyncModeName(storage::WalOptions::SyncMode mode) {
   return "?";
 }
 
-ResultSet PragmaRow(const std::string& name, storage::Value value) {
+StatusOr<ResultSet> PragmaRow(const std::string& name, storage::Value value) {
   ResultSet rs;
   storage::ColumnType value_type = storage::ColumnType::kText;
   if (std::holds_alternative<int64_t>(value)) value_type = storage::ColumnType::kInt64;
   if (std::holds_alternative<double>(value)) value_type = storage::ColumnType::kDouble;
-  rs.columns = {{"pragma", storage::ColumnType::kText}, {"value", value_type}};
-  rs.rows.push_back(storage::Row{name, std::move(value)});
+  rs.AddColumn("pragma", storage::ColumnType::kText);
+  rs.AddColumn("value", value_type);
+  HAZY_RETURN_NOT_OK(rs.AppendRow(storage::Row{name, std::move(value)}));
   return rs;
 }
 
@@ -353,6 +354,31 @@ size_t RowLimit(const SelectStmt& stmt) {
                                 : std::numeric_limits<size_t>::max();
 }
 
+/// COUNT(*)'s one-column result. LIMIT caps the result rows, so LIMIT 0
+/// leaves out its one row too.
+ResultSet CountResult(uint64_t n, size_t limit) {
+  ResultSet rs;
+  ColumnValues& count = rs.AddColumn("count", storage::ColumnType::kInt64);
+  if (limit > 0) count.AppendInt(static_cast<int64_t>(n));
+  return rs;
+}
+
+/// Applies one statement's writes, row by row: `apply(i)` for i < n. A
+/// statement of more than one row runs in one update batch, so every view
+/// it changes publishes one epoch for it and retrains at most once.
+template <typename Fn>
+Status ApplyRows(engine::Database* db, size_t n, Fn apply) {
+  const bool batch = n > 1;
+  if (batch) db->BeginUpdateBatch();
+  Status status;
+  for (size_t i = 0; i < n && status.ok(); ++i) status = apply(i);
+  if (batch) {
+    Status flushed = db->EndUpdateBatch();
+    if (status.ok()) status = flushed;
+  }
+  return status;
+}
+
 }  // namespace
 
 StatusOr<ResultSet> Executor::ExecCreateTable(const CreateTableStmt& stmt) {
@@ -393,21 +419,8 @@ StatusOr<ResultSet> Executor::ExecCreateView(const CreateViewStmt& stmt) {
 StatusOr<ResultSet> Executor::ExecInsert(const InsertStmt& stmt) {
   HAZY_RETURN_NOT_OK(RejectReservedWrite(stmt.table));
   HAZY_ASSIGN_OR_RETURN(storage::Table * table, db_->catalog()->GetTable(stmt.table));
-  // Multi-row INSERTs run in one update batch: every classification view
-  // monitoring this table publishes one epoch for the whole statement
-  // instead of one per row.
-  const bool batch = stmt.rows.size() > 1;
-  if (batch) db_->BeginUpdateBatch();
-  Status insert_status;
-  for (const auto& row : stmt.rows) {
-    insert_status = table->Insert(row);
-    if (!insert_status.ok()) break;
-  }
-  if (batch) {
-    Status flushed = db_->EndUpdateBatch();
-    if (insert_status.ok()) insert_status = flushed;
-  }
-  HAZY_RETURN_NOT_OK(insert_status);
+  HAZY_RETURN_NOT_OK(ApplyRows(db_, stmt.rows.size(),
+                              [&](size_t i) { return table->Insert(stmt.rows[i]); }));
   // Only claim batched maintenance when a view actually monitors this table.
   const std::shared_ptr<const engine::Database::ViewList> views = db_->views();
   const bool monitored =
@@ -419,7 +432,8 @@ StatusOr<ResultSet> Executor::ExecInsert(const InsertStmt& stmt) {
   rs.affected_rows = static_cast<int64_t>(stmt.rows.size());
   rs.message = StrFormat("%zu row%s inserted%s", stmt.rows.size(),
                          stmt.rows.size() == 1 ? "" : "s",
-                         batch && monitored ? " (batched view maintenance)" : "");
+                         stmt.rows.size() > 1 && monitored ? " (batched view maintenance)"
+                                                           : "");
   return rs;
 }
 
@@ -428,25 +442,19 @@ StatusOr<ResultSet> Executor::ExecSelectView(const SelectStmt& stmt,
   const std::string& key_col = view->def().entity_key;
   // The view's schema is (entity key INT, class TEXT): resolve each
   // projected column to one of the two once, not per emitted row.
-  ResultSet rs;
+  std::vector<std::string> proj;
+  if (!stmt.count_star) {
+    proj = stmt.columns.empty() ? std::vector<std::string>{key_col, "class"} : stmt.columns;
+  }
   std::vector<bool> proj_is_key;
-  if (stmt.count_star) {
-    rs.columns = {{"count", storage::ColumnType::kInt64}};
-  } else {
-    const std::vector<std::string> proj =
-        stmt.columns.empty() ? std::vector<std::string>{key_col, "class"}
-                             : stmt.columns;
-    for (const auto& col : proj) {
-      const bool is_key = EqualsIgnoreCase(col, key_col);
-      if (!is_key && !EqualsIgnoreCase(col, "class")) {
-        return Status::InvalidArgument(StrFormat(
-            "view %s has columns (%s, class); no column '%s'",
-            view->name().c_str(), key_col.c_str(), col.c_str()));
-      }
-      proj_is_key.push_back(is_key);
-      rs.columns.push_back(
-          {col, is_key ? storage::ColumnType::kInt64 : storage::ColumnType::kText});
+  for (const auto& col : proj) {
+    const bool is_key = EqualsIgnoreCase(col, key_col);
+    if (!is_key && !EqualsIgnoreCase(col, "class")) {
+      return Status::InvalidArgument(StrFormat(
+          "view %s has columns (%s, class); no column '%s'",
+          view->name().c_str(), key_col.c_str(), col.c_str()));
     }
+    proj_is_key.push_back(is_key);
   }
 
   // Single Entity (`<key> = n`), All Members (`class = 'label'`), or a
@@ -483,33 +491,29 @@ StatusOr<ResultSet> Executor::ExecSelectView(const SelectStmt& stmt,
         StrFormat("view %s has no published epoch", view->name().c_str()));
   }
 
-  // The shared tail: COUNT(*) of `n` answer rows, or the first LIMIT of
-  // them projected, where row(i) is row i's (id, label). LIMIT caps the
-  // result rows, so it caps COUNT(*)'s one row too.
+  // The shared tail for row answers: the first LIMIT of them projected,
+  // where ids[i] has label(i). The first key column takes the id vector
+  // as is; any other key column gets a copy.
   const size_t limit = RowLimit(stmt);
-  auto finish = [&](size_t n, auto row) -> ResultSet {
-    if (stmt.count_star) {
-      if (limit > 0) rs.rows.push_back(Row{static_cast<int64_t>(n)});
-      return std::move(rs);
-    }
-    n = std::min(n, limit);
-    rs.rows.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      const auto [id, label] = row(i);
-      Row out;
-      out.reserve(proj_is_key.size());
-      for (bool is_key : proj_is_key) {
-        if (is_key) {
-          out.emplace_back(id);
-        } else {
-          out.emplace_back(label);
-        }
+  auto project = [&](std::vector<int64_t> ids, auto label) -> ResultSet {
+    if (ids.size() > limit) ids.resize(limit);
+    ResultSet rs;
+    size_t key_column = proj.size();
+    for (size_t k = 0; k < proj.size(); ++k) {
+      ColumnValues& col = rs.AddColumn(proj[k], proj_is_key[k] ? storage::ColumnType::kInt64
+                                                                : storage::ColumnType::kText);
+      if (!proj_is_key[k]) {
+        col.Reserve(ids.size());
+        for (size_t i = 0; i < ids.size(); ++i) col.AppendText(label(i));
+      } else if (key_column == proj.size()) {
+        key_column = k;
+      } else {
+        col.SetInts(ids);
       }
-      rs.rows.push_back(std::move(out));
     }
-    return std::move(rs);
+    if (key_column < proj.size()) rs.column(key_column).SetInts(std::move(ids));
+    return rs;
   };
-  using LabeledRow = std::pair<int64_t, const std::string&>;
 
   // The answers come from the pinned epoch, but the work is still this
   // view's read traffic: RecordRead books it in the view's stats.
@@ -519,32 +523,36 @@ StatusOr<ResultSet> Executor::ExecSelectView(const SelectStmt& stmt,
     StatusOr<int> sign = snap->SingleEntityRead(id);
     // A missing entity is an empty result, not an error.
     if (!sign.ok() && !sign.status().IsNotFound()) return sign.status();
-    return finish(sign.ok() ? 1 : 0, [&](size_t) {
-      return LabeledRow(id, view->LabelString(*sign));
-    });
+    if (stmt.count_star) return CountResult(sign.ok() ? 1 : 0, limit);
+    return project(sign.ok() ? std::vector<int64_t>{id} : std::vector<int64_t>{},
+                   [&](size_t) -> const std::string& { return view->LabelString(*sign); });
   }
 
   obs::TraceScope scan_span(obs::SpanKind::kSnapshotScan);
   core::ScanCounts counts;
   if (by_class) {
-    const std::string& label = std::get<std::string>(where->value);
-    std::vector<int64_t> ids;
-    uint64_t n = 0;
     if (stmt.count_star) {
-      HAZY_ASSIGN_OR_RETURN(n, snap->AllMembersCount(member_sign, &counts));
-    } else {
-      HAZY_ASSIGN_OR_RETURN(ids, snap->AllMembers(member_sign, &counts));
-      n = ids.size();
+      HAZY_ASSIGN_OR_RETURN(uint64_t n, snap->AllMembersCount(member_sign, &counts));
+      view->RecordRead(counts);
+      return CountResult(n, limit);
     }
+    // LIMIT goes into the scan: it stops labeling chunks at `limit` ids.
+    HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids,
+                          snap->AllMembers(member_sign, &counts, limit));
     view->RecordRead(counts);
-    return finish(n, [&](size_t i) { return LabeledRow(ids[i], label); });
+    const std::string& label = std::get<std::string>(where->value);
+    return project(std::move(ids), [&](size_t) -> const std::string& { return label; });
   }
-  // Full view scan: both classes from one labeling pass.
+  // Full view scan: both classes from one labeling pass, in id order.
   std::vector<std::pair<int64_t, int8_t>> all = snap->LabeledEntities(&counts);
   view->RecordRead(counts);
-  if (!stmt.count_star) std::sort(all.begin(), all.end());
-  return finish(all.size(), [&](size_t i) {
-    return LabeledRow(all[i].first, view->LabelString(all[i].second));
+  if (stmt.count_star) return CountResult(all.size(), limit);
+  std::sort(all.begin(), all.end());
+  std::vector<int64_t> ids;
+  ids.reserve(std::min(all.size(), limit));
+  for (size_t i = 0; i < all.size() && i < limit; ++i) ids.push_back(all[i].first);
+  return project(std::move(ids), [&](size_t i) -> const std::string& {
+    return view->LabelString(all[i].second);
   });
 }
 
@@ -565,24 +573,23 @@ StatusOr<ResultSet> Executor::ExecSelectTable(const SelectStmt& stmt) {
   ResultSet rs;
   if (!stmt.count_star) {
     if (stmt.columns.empty()) {
-      for (size_t i = 0; i < schema.num_columns(); ++i) {
-        proj_idx.push_back(i);
-        rs.columns.push_back({schema.column(i).name, schema.column(i).type});
-      }
+      for (size_t i = 0; i < schema.num_columns(); ++i) proj_idx.push_back(i);
     } else {
       for (const auto& col : stmt.columns) {
         HAZY_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(col));
         proj_idx.push_back(idx);
-        rs.columns.push_back({schema.column(idx).name, schema.column(idx).type});
       }
+    }
+    for (size_t idx : proj_idx) {
+      rs.AddColumn(schema.column(idx).name, schema.column(idx).type);
     }
   }
 
   const size_t limit = RowLimit(stmt);
-  uint64_t count = 0;
+  uint64_t matched = 0;
   Status inner;
   HAZY_RETURN_NOT_OK(table->Scan([&](const Row& row) {
-    if (!stmt.count_star && rs.rows.size() >= limit) return false;  // LIMIT 0
+    if (!stmt.count_star && matched >= limit) return false;  // LIMIT 0
     if (stmt.where.has_value()) {
       auto match = MatchesPredicate(schema, row, *stmt.where);
       if (!match.ok()) {
@@ -591,23 +598,16 @@ StatusOr<ResultSet> Executor::ExecSelectTable(const SelectStmt& stmt) {
       }
       if (!*match) return true;
     }
-    if (stmt.count_star) {
-      ++count;
-      return true;
+    ++matched;
+    if (stmt.count_star) return true;
+    for (size_t k = 0; k < proj_idx.size(); ++k) {
+      inner = rs.column(k).Append(row[proj_idx[k]]);
+      if (!inner.ok()) return false;
     }
-    Row out;
-    out.reserve(proj_idx.size());
-    for (size_t idx : proj_idx) out.push_back(row[idx]);
-    rs.rows.push_back(std::move(out));
-    return rs.rows.size() < limit;
+    return matched < limit;
   }));
   HAZY_RETURN_NOT_OK(inner);
-
-  if (stmt.count_star) {
-    rs.columns = {{"count", storage::ColumnType::kInt64}};
-    // LIMIT caps the result rows, COUNT(*)'s one row included.
-    if (limit > 0) rs.rows.push_back(Row{static_cast<int64_t>(count)});
-  }
+  if (stmt.count_star) return CountResult(matched, limit);
   return rs;
 }
 
@@ -636,11 +636,11 @@ StatusOr<ResultSet> Executor::ExecUpdate(const UpdateStmt& stmt) {
     return true;
   }));
   HAZY_RETURN_NOT_OK(inner);
-  for (int64_t key : keys) {
-    HAZY_ASSIGN_OR_RETURN(Row row, table->GetByKey(key));
+  HAZY_RETURN_NOT_OK(ApplyRows(db_, keys.size(), [&](size_t i) -> Status {
+    HAZY_ASSIGN_OR_RETURN(Row row, table->GetByKey(keys[i]));
     for (const auto& [idx, value] : sets) row[idx] = value;
-    HAZY_RETURN_NOT_OK(table->UpdateByKey(key, row));
-  }
+    return table->UpdateByKey(keys[i], row);
+  }));
   ResultSet rs;
   rs.affected_rows = static_cast<int64_t>(keys.size());
   rs.message = StrFormat("%zu row%s updated", keys.size(), keys.size() == 1 ? "" : "s");
@@ -669,9 +669,8 @@ StatusOr<ResultSet> Executor::ExecDelete(const DeleteStmt& stmt) {
     return true;
   }));
   HAZY_RETURN_NOT_OK(inner);
-  for (int64_t key : keys) {
-    HAZY_RETURN_NOT_OK(table->DeleteByKey(key));
-  }
+  HAZY_RETURN_NOT_OK(ApplyRows(db_, keys.size(),
+                              [&](size_t i) { return table->DeleteByKey(keys[i]); }));
   ResultSet rs;
   rs.affected_rows = static_cast<int64_t>(keys.size());
   rs.message = StrFormat("%zu row%s deleted", keys.size(), keys.size() == 1 ? "" : "s");
